@@ -2,18 +2,26 @@
 
 The collection F(d;p,n,m) consists of subgroups K of H with elementary
 abelian quotient of rank m that contain no nontrivial element supported
-(up to the all-ones shift) on at most d generators.  Enumeration iterates
-unique reduced-echelon bases of the (n-m)-dimensional subspaces of F_p^n
-(the normalized coordinates of H); freeness is decided by a dual test on
-the quotient map's columns and cross-checked elsewhere against the
-element-wise predicate.  Classification is up to the S_{n+1} of generator
-permutations, via breadth-first orbit closure under its two standard
-generators.
+(up to the all-ones shift) on at most d generators.  Dually, K is free iff
+no nonzero combination of at most d of the quotient map's n+1 columns
+vanishes.
+
+Enumeration is one depth-first walk over the reduced-echelon bases of the
+(n-m)-dimensional subspaces of F_p^n (the normalized coordinates of H),
+filling one basis row at a time.  The quotient columns are read off the
+basis without elimination: the non-pivot columns are unit vectors, row i
+alone fixes the column at its pivot, and the last column is minus the sum.
+The walk keeps layered spans L_0 <= ... <= L_{d-1} of the columns placed so
+far (L_r: every combination of at most r of them); a column in L_{d-1} is
+rejected together with every completion of its row prefix.  Freeness is
+cross-checked elsewhere against the element-wise predicate.
+Classification is up to the S_{n+1} of generator permutations, via
+breadth-first orbit closure under its two standard generators.
 """
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from .errors import (
     InconsistencyError,
@@ -32,8 +40,6 @@ from .groups import (
     perm_full_cycle,
     perm_swap_first_two,
     autg_apply_subgroup,
-    rank_mod_p,
-    rref_mod_p,
     subgroup_canonical_key,
     subgroup_from_lift_rows,
     subgroup_to_json,
@@ -52,8 +58,13 @@ class EnumerationTask:
     def __post_init__(self):
         if not is_prime(self.p):
             raise UnsupportedParameterError(f"enumeration requires p prime, got {self.p}")
-        if self.d < 1 or self.n < 1 or not (0 <= self.m <= self.n):
+        if not (1 <= self.d <= self.n) or not (0 <= self.m <= self.n):
             raise ParameterError(f"bad task parameters d={self.d}, n={self.n}, m={self.m}")
+        if self.cap_subspaces < 0 or self.cap_elements < 0:
+            raise ParameterError(
+                f"caps must be non-negative, got cap_subspaces={self.cap_subspaces}, "
+                f"cap_elements={self.cap_elements}"
+            )
 
     @property
     def params(self) -> GroupParams:
@@ -94,86 +105,181 @@ def necessary_bounds(d: int, p: int, n: int, m: int) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Subspace iteration
+# The pruned walk over RREF bases
 # ---------------------------------------------------------------------------
 
-def iter_rref_bases(n: int, k: int, p: int):
+class _Packed:
+    """Vectors of F_p^m packed into one int, coordinate t in the w-bit field
+    at bit w*t.  Coordinatewise addition mod p is one int addition plus a
+    carry fix-up: biasing every field by 2^(w-1) - p sets its top bit
+    exactly where the sum reached p."""
+
+    __slots__ = ("p", "m", "w", "ones", "high", "bias")
+
+    def __init__(self, p: int, m: int):
+        self.p, self.m = p, m
+        self.w = p.bit_length() + 1
+        self.ones = sum(1 << (self.w * t) for t in range(m))
+        self.high = self.ones << (self.w - 1)
+        self.bias = self.ones * ((1 << (self.w - 1)) - p)
+
+    def pack(self, vec) -> int:
+        return sum((x % self.p) << (self.w * t) for t, x in enumerate(vec))
+
+    def unpack(self, v: int) -> tuple:
+        mask = (1 << self.w) - 1
+        return tuple((v >> (self.w * t)) & mask for t in range(self.m))
+
+    def add(self, u: int, v: int) -> int:
+        s = u + v
+        return s - (((s + self.bias) & self.high) >> (self.w - 1)) * self.p
+
+    def vectors(self) -> list:
+        """All of F_p^m, ordered so that the first p^(m-s) entries are the
+        vectors supported on coordinates s..m-1."""
+        out = [0]
+        for t in range(self.m - 1, -1, -1):
+            out = [v + (x << (self.w * t)) for x in range(self.p) for v in out]
+        return out
+
+    def grow(self, spans, c: int) -> list:
+        """Add column c to the layered spans in place: spans[r] holds every
+        combination of at most r columns, and gains spans[r-1] + a*c for
+        a in F_p^*.  Returns the added sets, for shrink."""
+        mults = [c]
+        for _ in range(self.p - 2):
+            mults.append(self.add(mults[-1], c))
+        p, high, bias, sh = self.p, self.high, self.bias, self.w - 1
+        added = []
+        for r in range(len(spans) - 1, 0, -1):
+            new = {
+                (s := v + a) - (((s + bias) & high) >> sh) * p
+                for v in spans[r - 1] for a in mults
+            }
+            new -= spans[r]
+            spans[r] |= new
+            added.append((r, new))
+        return added
+
+    @staticmethod
+    def shrink(spans, added):
+        for r, new in added:
+            spans[r] -= new
+
+    def closes(self, spans, total: int, c: int) -> bool:
+        """Whether the dependent column -(total + c) stays out of the top span
+        once c is placed.  That span is spans[-1] | (spans[-2] + a*c), a != 0,
+        so membership reduces to total + b*c, b != 1, against spans[-2]."""
+        x = self.add(total, c)
+        if x in spans[-1]:
+            return False
+        if len(spans) == 1:
+            return True
+        lower = spans[-2]
+        if total in lower:
+            return False
+        for _ in range(self.p - 2):
+            x = self.add(x, c)
+            if x in lower:
+                return False
+        return True
+
+
+def _walk(row, hi, packed, vecs, spans, total, placed):
+    """Yield every way to place basis rows row, row-1, ..., 0 below the rows
+    already in `placed`.  Row i has s_i <= s_{i+1} = hi non-pivot positions
+    before its pivot, and its quotient column is any vector supported on
+    coordinates s_i..m-1.  A column in the top span is rejected together
+    with every completion of the prefix."""
+    for s in range(hi + 1):
+        for c in islice(vecs, packed.p ** (packed.m - s)):
+            if c in spans[-1]:
+                continue
+            placed.append((s, c))
+            if row:
+                added = packed.grow(spans, c)
+                yield from _walk(row - 1, s, packed, vecs, spans, packed.add(total, c), placed)
+                packed.shrink(spans, added)
+            elif packed.closes(spans, total, c):
+                yield placed
+            placed.pop()
+
+
+def iter_rref_bases(n: int, k: int, p: int, d: int = None):
     """Yield the unique RREF basis (k rows of length n) of every
-    k-dimensional subspace of F_p^n."""
+    k-dimensional subspace of F_p^n; with d, only the kernels whose quotient
+    columns are d-free.
+
+    With pivots P and non-pivot positions Q = (Q_1..Q_m), the quotient
+    column at Q_t is the unit vector e_t, the column at pivot P_i is minus
+    row i restricted to Q, and the dependent column c_{n+1} is minus their
+    sum.  So each row fixes one column and the walk never eliminates."""
+    m = n - k
+    packed = _Packed(p, m)
+    spans = [set()]  # spans nothing, so the walk rejects nothing
+    if d is not None:
+        spans = [{0} for _ in range(d)]
+        for t in range(m):
+            packed.grow(spans, 1 << (packed.w * t))
     if k == 0:
-        yield ()
+        if packed.ones not in spans[-1]:
+            yield ()
         return
-    for pivots in combinations(range(n), k):
-        pivot_set = set(pivots)
-        free_pos = []  # (row, col) entries free to vary
-        for i, c in enumerate(pivots):
-            for j in range(c + 1, n):
-                if j not in pivot_set:
-                    free_pos.append((i, j))
-        template = []
-        for i, c in enumerate(pivots):
+    for placed in _walk(k - 1, m, packed, packed.vectors(), spans, packed.ones, []):
+        pivots = [s + k - 1 - j for j, (s, _) in enumerate(placed)]
+        free = [q for q in range(n) if q not in pivots]
+        rows = []
+        for P, (_, c) in zip(reversed(pivots), reversed(placed)):
             row = [0] * n
-            row[c] = 1
-            template.append(row)
-        for values in product(range(p), repeat=len(free_pos)):
-            rows = [row[:] for row in template]
-            for (i, j), v in zip(free_pos, values):
-                rows[i][j] = v
-            yield tuple(tuple(r) for r in rows)
+            row[P] = 1
+            for q, x in zip(free, packed.unpack(c)):
+                row[q] = -x % p
+            rows.append(tuple(row))
+        yield tuple(rows)
 
 
-def _quotient_columns(basis_rows, n: int, m: int, p: int):
-    """Columns c_1..c_{n+1} in F_p^m of a quotient map with kernel the span
-    of basis_rows (vectors in normalized coordinates), plus the dependent
-    last column forced by the product-of-generators relation."""
-    mat = nullspace_mod_p(basis_rows, p, ncols=n) if basis_rows else tuple(
-        tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
-    )
-    # mat has m rows; columns are the images of phi_1..phi_n
-    cols = [tuple(row[j] for row in mat) for j in range(n)]
-    last = tuple((-sum(row)) % p for row in mat)
-    cols.append(last)
+def _quotient_columns(basis_rows, n: int, p: int):
+    """Columns c_1..c_{n+1} in F_p^m of a quotient map whose kernel has the
+    RREF basis basis_rows, read off the basis as in iter_rref_bases."""
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis_rows]
+    free = [q for q in range(n) if q not in pivots]
+    m = len(free)
+    cols = [None] * n
+    for t, q in enumerate(free):
+        cols[q] = tuple(int(s == t) for s in range(m))
+    for row, P in zip(basis_rows, pivots):
+        cols[P] = tuple(-row[q] % p for q in free)
+    cols.append(tuple(-sum(c[t] for c in cols) % p for t in range(m)))
     return cols
 
 
 def _columns_free(cols, d: int, p: int) -> bool:
-    """No nonzero combination of at most d columns vanishes, i.e. every
-    d-subset of the columns is linearly independent."""
-    if d == 2:
-        seen = set()
-        for c in cols:
-            nz = next((x for x in c if x), None)
-            if nz is None:
-                return False
-            inv = pow(nz, -1, p)
-            proj = tuple((x * inv) % p for x in c)
-            if proj in seen:
-                return False
-            seen.add(proj)
-        return True
-    m = len(cols[0])
-    if d > m:
-        return False
-    for subset in combinations(cols, d):
-        if rank_mod_p(subset, p) < d:
+    """No nonzero combination of at most d columns vanishes: fold the
+    columns through the layered spans, rejecting any already spanned."""
+    packed = _Packed(p, len(cols[0]))
+    spans = [{0} for _ in range(d)]
+    for col in cols:
+        c = packed.pack(col)
+        if c in spans[-1]:
             return False
+        packed.grow(spans, c)
     return True
 
 
 def subgroup_is_free_dual(K: Subgroup, d: int) -> bool:
     """Dual-route freeness check on the quotient columns of K (no element
     enumeration)."""
-    from .groups import subgroup_element_basis, quotient_rank
+    from .groups import subgroup_element_basis
 
-    params = K.params
     basis = tuple(row[:-1] for row in subgroup_element_basis(K))
-    cols = _quotient_columns(basis, params.n, quotient_rank(K), params.p)
-    return _columns_free(cols, d, params.p)
+    cols = _quotient_columns(basis, K.params.n, K.params.p)
+    return _columns_free(cols, d, K.params.p)
 
 
 def enumerate_all(task: EnumerationTask, prune: bool = True):
-    """All of F(d;p,n,m), sorted by canonical key.  Iterates every
-    (n-m)-dimensional subspace of F_p^n under the subspace cap."""
+    """All of F(d;p,n,m), sorted by canonical key.  Walks the
+    (n-m)-dimensional subspaces of F_p^n under the subspace cap, pruning
+    every row prefix whose quotient columns already fail freeness."""
     if prune and not necessary_bounds(task.d, task.p, task.n, task.m).possibly_nonempty:
         return []
     k = task.n - task.m
@@ -184,14 +290,10 @@ def enumerate_all(task: EnumerationTask, prune: bool = True):
             attempted=count,
         )
     params = task.params
-    p, n, d, m = task.p, task.n, task.d, task.m
-    found = []
-    for basis in iter_rref_bases(n, k, p):
-        cols = _quotient_columns(basis, n, m, p)
-        if not _columns_free(cols, d, p):
-            continue
-        lift_rows = [row + (0,) for row in basis]
-        found.append(subgroup_from_lift_rows(lift_rows, params))
+    found = [
+        subgroup_from_lift_rows([row + (0,) for row in basis], params)
+        for basis in iter_rref_bases(task.n, k, task.p, task.d)
+    ]
     found.sort(key=subgroup_canonical_key)
     return found
 
@@ -459,8 +561,12 @@ def enumeration_report(task: EnumerationTask, classify: bool = False):
     subgroups = enumerate_all(task)
     payload = {
         "task": {"d": task.d, "p": task.p, "n": task.n, "m": task.m},
+        "candidates": gaussian_binomial(task.n, task.n - task.m, task.p),
         "count": len(subgroups),
     }
+    verdict = necessary_bounds(task.d, task.p, task.n, task.m)
+    if not verdict.possibly_nonempty:
+        payload["prunedBy"] = verdict.reason
     if classify:
         orbits = classify_orbits(subgroups)
         payload["orbits"] = [

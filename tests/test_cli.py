@@ -113,6 +113,36 @@ def test_resource_limit_exit_code(capsys):
     assert "resource limit" in err
 
 
+def test_enumerate_rejects_d_above_n(capsys):
+    code, out, err = run(capsys, "enumerate", "--d", "9", "--p", "2", "--n", "6", "--m", "3")
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+def test_enumerate_rejects_negative_cap(capsys):
+    code, out, err = run(
+        capsys, "enumerate", "--d", "2", "--p", "2", "--n", "6", "--m", "3",
+        "--cap-subspaces", "-5",
+    )
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+def test_enumerate_reports_pruning_reason(capsys):
+    code, out, _ = run(capsys, "enumerate", "--d", "2", "--p", "2", "--n", "7", "--m", "3")
+    assert code == 0
+    data = json.loads(out)
+    assert data["count"] == 0
+    assert data["candidates"] == 11811
+    assert data["prunedBy"] == "n+1=8 exceeds (p^m-1)/(p-1)=7"
+    code, out, _ = run(capsys, "enumerate", "--d", "2", "--p", "2", "--n", "6", "--m", "3")
+    data = json.loads(out)
+    assert (data["candidates"], data["count"]) == (1395, 30)
+    assert "prunedBy" not in data
+
+
 def test_reproduce_filter(capsys):
     code, out, err = run(capsys, "reproduce-paper", "--filter", "rank_bound")
     assert code == 0

@@ -1,11 +1,14 @@
 """Subgroup enumeration, normalized generation, orbits, and families."""
 
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genfermat.enumeration import (
     EnumerationTask,
+    _columns_free,
     canonical_orbit_key,
     classify_orbits,
     construct_family,
@@ -29,7 +32,10 @@ from genfermat.groups import (
     perm_swap_first_two,
     autg_apply_subgroup,
     quotient_rank,
+    rank_mod_p,
+    rref_mod_p,
     subgroup_canonical_key,
+    subgroup_from_lift_rows,
     subgroup_order,
 )
 
@@ -65,6 +71,68 @@ def test_iter_rref_bases_complete(p, n, k):
     bases = list(iter_rref_bases(n, k, p))
     assert len(bases) == gaussian_binomial(n, k, p)
     assert len(set(bases)) == len(bases)
+    for basis in bases:
+        assert rref_mod_p(basis, p) == basis
+
+
+# Cells small enough to filter every RREF basis elementwise: d in {2,3,4},
+# p in {2,3,5}, at most 20,000 group elements over all candidates.
+ORACLE_CELLS = [
+    (d, p, n, m)
+    for d in (2, 3, 4) for p in (2, 3, 5) for n in range(d, 8) for m in range(n + 1)
+    if gaussian_binomial(n, n - m, p) * p ** (n - m) <= 20_000
+]
+
+
+def _elementwise_free_keys(task):
+    """Oracle: every RREF basis, filtered by the element-wise predicate."""
+    return sorted(
+        subgroup_canonical_key(K)
+        for K in (
+            subgroup_from_lift_rows([row + (0,) for row in basis], task.params)
+            for basis in iter_rref_bases(task.n, task.n - task.m, task.p)
+        )
+        if acts_freely_subgroup(K, task.d)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(ORACLE_CELLS))
+@example((4, 2, 7, 5))
+@example((4, 5, 5, 4))
+def test_enumerate_all_matches_elementwise_filter(cell):
+    task = EnumerationTask(*cell)
+    brute = _elementwise_free_keys(task)
+    assert [subgroup_canonical_key(K) for K in enumerate_all(task, prune=False)] == brute
+    if necessary_bounds(*cell).possibly_nonempty:
+        assert [subgroup_canonical_key(K) for K in enumerate_all(task)] == brute
+
+
+@pytest.mark.xfail(strict=True, reason="necessary_bounds prunes m=d=2, p<4 also at "
+                   "n=2, where the trivial kernel acts freely")
+def test_necessary_bounds_sound_on_oracle_cells():
+    unsound = [
+        cell for cell in ORACLE_CELLS
+        if not necessary_bounds(*cell).possibly_nonempty
+        and _elementwise_free_keys(EnumerationTask(*cell))
+    ]
+    assert unsound == []
+
+
+def _every_d_subset_independent(cols, d, p):
+    """Oracle: the rank definition of d-freeness the layered spans replace."""
+    return all(rank_mod_p(subset, p) == d for subset in combinations(cols, d))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_layered_spans_match_subset_rank(data):
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    m = data.draw(st.integers(1, 4))
+    d = data.draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(0, p - 1)] * m)
+    cols = data.draw(st.lists(vec, min_size=d, max_size=7))
+    assert _columns_free(cols, d, p) == _every_d_subset_independent(cols, d, p)
 
 
 def test_task_validation():
@@ -72,6 +140,10 @@ def test_task_validation():
         EnumerationTask(d=2, p=4, n=5, m=2)
     with pytest.raises(ParameterError):
         EnumerationTask(d=2, p=2, n=5, m=6)
+    with pytest.raises(ParameterError):
+        EnumerationTask(d=9, p=2, n=6, m=3)
+    with pytest.raises(ParameterError):
+        EnumerationTask(d=2, p=2, n=6, m=3, cap_subspaces=-5)
 
 
 def test_necessary_bounds_prune():
