@@ -15,8 +15,9 @@ The walk keeps layered spans L_0 <= ... <= L_{d-1} of the columns placed so
 far (L_r: every combination of at most r of them); a column in L_{d-1} is
 rejected together with every completion of its row prefix.  Freeness is
 cross-checked elsewhere against the element-wise predicate.
-Classification is up to the S_{n+1} of generator permutations, via
-breadth-first orbit closure under its two standard generators.
+Classification is up to the S_{n+1} of generator permutations, via orbit
+closure under its two standard generators; the canonical key of an orbit is
+the least subgroup key in that closure.
 """
 
 import time
@@ -392,68 +393,60 @@ class OrbitClass:
     members: tuple = field(default=(), compare=False)  # canonical keys
 
 
+def _orbit_keys(K: Subgroup):
+    """Canonical keys of every subgroup in the S_{n+1}-orbit of K, by
+    closure under a transposition and a full cycle, which generate S_{n+1}."""
+    n = K.params.n
+    sigmas = (perm_swap_first_two(n), perm_full_cycle(n))
+    keys = {subgroup_canonical_key(K)}
+    frontier = [K]
+    while frontier:
+        L = frontier.pop()
+        for sigma in sigmas:
+            img = autg_apply_subgroup(sigma, L)
+            key = subgroup_canonical_key(img)
+            if key not in keys:
+                keys.add(key)
+                frontier.append(img)
+    return keys
+
+
 def classify_orbits(subgroups):
     """Partition into orbits under the full permutation group of the
-    canonical generators, by BFS closure under a transposition and a full
-    cycle.  Raises if an orbit leaves the input set."""
-    if not subgroups:
-        return []
-    n = subgroups[0].params.n
-    psi1 = perm_swap_first_two(n)
-    psi2 = perm_full_cycle(n)
+    canonical generators (see `_orbit_keys`).  Raises if an orbit leaves
+    the input set."""
     by_key = {subgroup_canonical_key(K): K for K in subgroups}
     if len(by_key) != len(subgroups):
         raise InconsistencyError("duplicate subgroups in classification input")
-    unseen = dict(by_key)
+    unseen = set(by_key)
     orbits = []
     while unseen:
-        start_key = min(unseen)
-        frontier = [unseen.pop(start_key)]
-        members = {start_key}
-        while frontier:
-            K = frontier.pop()
-            for sigma in (psi1, psi2):
-                img = autg_apply_subgroup(sigma, K)
-                key = subgroup_canonical_key(img)
-                if key in members:
-                    continue
-                if key not in by_key:
-                    raise InconsistencyError(
-                        "orbit leaves the input set; input was not closed under "
-                        "generator permutations"
-                    )
-                members.add(key)
-                unseen.pop(key, None)
-                frontier.append(img)
-        rep_key = min(members)
+        members = _orbit_keys(by_key[min(unseen)])
+        if not members <= unseen:
+            raise InconsistencyError(
+                "orbit leaves the input set; input was not closed under "
+                "generator permutations"
+            )
+        unseen -= members
         orbits.append(
             OrbitClass(
-                representative=by_key[rep_key],
+                representative=by_key[min(members)],
                 orbit_size=len(members),
                 members=tuple(sorted(members)),
             )
         )
-    orbits.sort(key=lambda o: subgroup_canonical_key(o.representative))
     return orbits
 
 
 def canonical_orbit_key(K: Subgroup) -> bytes:
-    """Lex-min canonical key over the full permutation group; intended for
-    small n (n+1 <= 8)."""
-    from itertools import permutations
-
-    from .groups import GeneratorPermutation
-
+    """Least canonical key over the S_{n+1}-orbit of K: equal for two
+    subgroups iff they differ by a generator permutation.  The orbit is
+    found by the same closure as `classify_orbits`, so this costs the orbit
+    size, not (n+1)!; intended for small n (n+1 <= 8)."""
     n = K.params.n
     if n + 1 > 8:
         raise ResourceLimitError(f"full canonicalization limited to n+1 <= 8, got {n + 1}")
-    best = None
-    for perm in permutations(range(n + 1)):
-        img = autg_apply_subgroup(GeneratorPermutation(perm), K)
-        key = subgroup_canonical_key(img)
-        if best is None or key < best:
-            best = key
-    return best
+    return min(_orbit_keys(K))
 
 
 # ---------------------------------------------------------------------------

@@ -253,10 +253,6 @@ def full_group(params: GroupParams) -> Subgroup:
     )
 
 
-def subgroup_rank(K: Subgroup) -> int:
-    return len(K.basis)
-
-
 def subgroup_order(K: Subgroup) -> int:
     return K.params.p ** (len(K.basis) - 1)
 
@@ -362,10 +358,6 @@ def perm_full_cycle(n: int) -> GeneratorPermutation:
     """The (n+1)-cycle sending phi_1 to phi_{n+1} and shifting the rest up
     by one: together with the transposition it generates all of S_{n+1}."""
     return GeneratorPermutation((n,) + tuple(range(n)))
-
-
-def perm_from_one_based(images) -> GeneratorPermutation:
-    return GeneratorPermutation(tuple(i - 1 for i in images))
 
 
 def autg_apply_element(sigma: GeneratorPermutation, x: GroupElement) -> GroupElement:

@@ -2,28 +2,30 @@
 
 A diagonal action is a list of character rows: generator g scales variable
 i by the p-th root of unity raised to row[i].  A monomial is invariant iff
-every character row pairs to zero with its exponent vector mod p.  The
-minimal monomial generators (the Hilbert basis of the invariant monoid up
-to a degree bound), their binomial relations, the affine-linear relations
-coming from the defining equations on the chart x_{n+1}=1, and the induced
-action of the quotient group are computed here.
+every character row pairs to zero with its exponent vector mod p: the
+characters of its variables (the columns of the rows), taken with
+multiplicity, sum to zero.  The minimal monomial generators (the Hilbert
+basis of the invariant monoid up to a degree bound) are found by a walk over
+zero-sum-free sequences of characters; their binomial relations, the
+affine-linear relations coming from the defining equations on the chart
+x_{n+1}=1, and the induced action of the quotient group are computed here.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb
 
 from .errors import (
     DimensionError,
     InconsistencyError,
     ParameterError,
     ResourceLimitError,
+    UnsupportedParameterError,
 )
 from .groups import (
-    GroupParams,
     Subgroup,
     generator,
+    is_prime,
     quotient_rank,
     rank_mod_p,
     rref_mod_p,
@@ -38,8 +40,8 @@ class DiagonalAction:
     rows: tuple  # character rows, each of length num_vars
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ParameterError(f"p must be >= 2, got {self.p}")
+        if not is_prime(self.p):
+            raise UnsupportedParameterError(f"diagonal actions require p prime, got {self.p}")
         rows = tuple(tuple(x % self.p for x in row) for row in self.rows)
         for row in rows:
             if len(row) != self.num_vars:
@@ -67,52 +69,60 @@ def is_invariant(exponents, action: DiagonalAction) -> bool:
     )
 
 
-def _iter_monomials(num_vars: int, degree: int):
-    """All exponent vectors of the given total degree, lexicographically."""
-    for positions in combinations_with_replacement(range(num_vars), degree):
-        vec = [0] * num_vars
-        for i in positions:
-            vec[i] += 1
-        yield tuple(vec)
-
-
 def hilbert_basis(action: DiagonalAction, degree_bound: int = None,
-                  cap: int = 5_000_000):
+                  cap: int = 1_000_000):
     """Minimal generators of the invariant-monomial monoid up to the degree
-    bound (default: the group order, which suffices for diagonal actions).
-    A monomial is minimal iff no nonconstant invariant monomial strictly
-    divides it; the quotient by an invariant divisor is itself invariant,
-    so testing divisibility by previously found generators is exhaustive.
-    Sorted by (degree, lex)."""
+    bound (default: the group order, which suffices for diagonal actions),
+    sorted by (degree, x1 > x2 > ...).  They are the minimal zero-sum
+    sequences of variable characters, found by a depth-first walk over
+    monomials in non-decreasing variable order.  The walk carries the
+    running sum and `reach`, the sums of all sub-multisets of the prefix
+    (the empty one included).  Appending a variable of character c closes a
+    generator when the sum becomes 0, cuts the branch when -c is in `reach`
+    (every extension then has a proper invariant divisor), and otherwise
+    extends the prefix.  `cap` bounds the walk's steps: one per monomial
+    visited plus one per sub-multiset sum formed."""
     if degree_bound is None:
         degree_bound = action.group_order()
     if degree_bound < 1:
         raise ParameterError(f"degree bound must be >= 1, got {degree_bound}")
-    total = comb(degree_bound + action.num_vars, action.num_vars)
-    if total > cap:
-        raise ResourceLimitError(
-            f"{total} monomials up to degree {degree_bound} exceed cap {cap}",
-            attempted=total,
-        )
+    p, n = action.p, action.num_vars
+    chars = [tuple(row[j] for row in action.rows) for j in range(n)]
+    negs = [tuple(-x % p for x in c) for c in chars]
+    zero = (0,) * len(action.rows)
+
+    def add(x, y):
+        return tuple((a + b) % p for a, b in zip(x, y))
+
     gens = []
-    for deg in range(1, degree_bound + 1):
-        for mono in _iter_monomials(action.num_vars, deg):
-            if not is_invariant(mono, action):
-                continue
-            reducible = any(
-                all(g <= a for g, a in zip(gen, mono)) for gen in gens
-            )
-            if not reducible:
-                gens.append(mono)
+    steps = 0
+    stack = [((0,) * n, 0, zero, {zero})] if n else []  # (prefix, next variable, sum, reach)
+    while stack:
+        mono, j, total, reach = stack.pop()
+        if j + 1 < n:
+            stack.append((mono, j + 1, total, reach))
+        steps += 1
+        if steps > cap:
+            raise ResourceLimitError(f"Hilbert basis walk passed cap {cap}", attempted=steps)
+        grown = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
+        if negs[j] == total:
+            gens.append(grown)
+        elif sum(grown) < degree_bound and negs[j] not in reach:
+            steps += len(reach)
+            stack.append((grown, j, add(total, chars[j]),
+                          reach | {add(r, chars[j]) for r in reach}))
     return sorted(gens, key=lambda v: (sum(v), tuple(-x for x in v)))
 
 
 def invariant_monomials_up_to(action: DiagonalAction, degree_bound: int):
-    """All invariant monomials (nonconstant) of degree <= bound."""
+    """All invariant monomials (nonconstant) of degree <= bound, by a scan
+    of every monomial: the oracle the tests check `hilbert_basis` against."""
     out = []
     for deg in range(1, degree_bound + 1):
-        out.extend(m for m in _iter_monomials(action.num_vars, deg)
-                   if is_invariant(m, action))
+        for positions in combinations_with_replacement(range(action.num_vars), deg):
+            mono = tuple(positions.count(i) for i in range(action.num_vars))
+            if is_invariant(mono, action):
+                out.append(mono)
     return out
 
 

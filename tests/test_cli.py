@@ -95,6 +95,15 @@ def test_invariants_command(capsys):
     assert len(data["results"]["generators"]) == 13
 
 
+def test_invariants_rejects_short_generator_rows(capsys):
+    code, out, err = run(
+        capsys, "invariants", "--d", "2", "--p", "2", "--n", "6", "--gens", "1,1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
 def test_parameter_error_exit_code(capsys):
     code, _, err = run(
         capsys, "fixed-points", "--d", "2", "--p", "3", "--n", "3",

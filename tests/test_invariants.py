@@ -6,9 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genfermat.errors import DimensionError, ParameterError
+from genfermat.errors import (
+    DimensionError,
+    ParameterError,
+    ResourceLimitError,
+    UnsupportedParameterError,
+)
 from genfermat.geometry import fermat_model, random_omega_sample, VarietyModel
-from genfermat.groups import GroupParams, subgroup_from_generators, word
+from genfermat.groups import GroupParams, rank_mod_p, subgroup_from_generators, word
 from genfermat.invariants import (
     DiagonalAction,
     action_from_subgroup,
@@ -39,6 +44,9 @@ def test_action_validation():
         DiagonalAction(p=2, num_vars=3, rows=((1, 0),))
     act = DiagonalAction(p=3, num_vars=2, rows=((1, 2), (2, 4)))
     assert act.group_order() == 3  # second row is a multiple of the first
+    with pytest.raises(UnsupportedParameterError):
+        DiagonalAction(p=4, num_vars=2, rows=((2, 1),))
+    assert hilbert_basis(DiagonalAction(p=2, num_vars=0, rows=())) == []
 
 
 def test_is_invariant_basics():
@@ -93,6 +101,59 @@ def test_hilbert_basis_ordering():
     degrees = [sum(g) for g in gens]
     assert degrees == sorted(degrees)
     assert degrees == [2] * 6 + [3] * 4 + [4] * 3
+
+
+def minimal_invariants_oracle(act, degree_bound):
+    """Reference route for `hilbert_basis`: scan every monomial up to the
+    bound and keep the invariant ones no other invariant one divides."""
+    monos = invariant_monomials_up_to(act, degree_bound)
+    minimal = [m for m in monos
+               if not any(d != m and all(x <= y for x, y in zip(d, m)) for d in monos)]
+    return sorted(minimal, key=lambda v: (sum(v), tuple(-x for x in v)))
+
+
+def davenport_bound(act):
+    """D(Z_p^r) = r(p-1)+1 (Olson): no minimal zero-sum sequence, so no
+    minimal invariant monomial, is longer.  Keeps the oracle's scan small
+    where the default bound |G| would not."""
+    return min(act.group_order(), rank_mod_p(act.rows, act.p) * (act.p - 1) + 1)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_hilbert_basis_matches_oracle(data):
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    nv = data.draw(st.integers(1, 5))
+    rows = data.draw(
+        st.lists(st.tuples(*[st.integers(0, p - 1) for _ in range(nv)]),
+                 min_size=1, max_size=3)
+    )
+    act = DiagonalAction(p=p, num_vars=nv, rows=tuple(rows))
+    bound = data.draw(st.one_of(st.none(), st.integers(1, 7)))
+    want = minimal_invariants_oracle(act, davenport_bound(act) if bound is None else bound)
+    assert hilbert_basis(act, degree_bound=bound) == want
+
+
+def test_hilbert_basis_beyond_the_monomial_scan():
+    # |G| = 125 in 6 variables: comb(131, 6) monomials up to the default
+    # bound, far above the default cap, but few zero-sum-free prefixes.
+    act = DiagonalAction(p=5, num_vars=6, rows=((1, 0, 0, 1, 2, 3),
+                                                (0, 1, 0, 1, 3, 2),
+                                                (0, 0, 1, 1, 4, 4)))
+    assert hilbert_basis(act) == minimal_invariants_oracle(act, davenport_bound(act))
+
+
+def test_hilbert_basis_cap():
+    act = DiagonalAction(p=3, num_vars=2, rows=((1, 2),))
+    with pytest.raises(ResourceLimitError) as info:
+        hilbert_basis(act, cap=3)
+    assert info.value.attempted > 3
+    assert len(hilbert_basis(act, cap=100)) == 3
+
+
+def test_hilbert_basis_deeper_than_recursion_limit():
+    act = DiagonalAction(p=1009, num_vars=1, rows=((1,),))
+    assert hilbert_basis(act) == [(1009,)]
 
 
 def test_invariant_monomials_up_to():
