@@ -48,17 +48,27 @@ def _emit(payload, fmt="json"):
 
 
 def _parse_int_list(text):
-    return tuple(int(x) for x in text.replace(";", ",").split(",") if x.strip())
+    try:
+        return tuple(int(x) for x in text.replace(";", ",").split(",") if x.strip())
+    except ValueError as exc:
+        raise ParameterError(f"expected comma-separated integers, got {text!r}") from exc
 
 
 def _parse_rows(text):
     return [_parse_int_list(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
+def _read_json(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"cannot read JSON from {path}: {exc}") from exc
+
+
 def _load_arrangement(args):
     if args.lam:
-        with open(args.lam) as fh:
-            return arrangement_from_json(json.load(fh))
+        return arrangement_from_json(_read_json(args.lam))
     if args.seed is None:
         raise ParameterError("either --lambda or --seed is required")
     return random_omega_sample(args.seed, args.n, args.d)
@@ -71,17 +81,13 @@ def cmd_fixed_points(args):
                   "results": strata_report(x, args.d)}, args.format)
 
 
-def cmd_enumerate(args, classify=False):
+def cmd_enumerate(args):
     task = EnumerationTask(
         d=args.d, p=args.p, n=args.n, m=args.m,
         cap_subspaces=args.cap_subspaces, cap_elements=args.cap_elements,
     )
-    payload = enumeration_report(task, classify=classify or args.classify)
+    payload = enumeration_report(task, classify=args.classify)
     return _emit(payload, args.format)
-
-
-def cmd_classify(args):
-    return cmd_enumerate(args, classify=True)
 
 
 def cmd_cohomology(args):
@@ -105,23 +111,19 @@ def cmd_hyperbolicity(args):
 
 
 def cmd_arrangement(args):
-    if args.lam:
-        with open(args.lam) as fh:
-            arr = arrangement_from_json(json.load(fh))
-        results = {"generalPosition": in_general_position(arr),
-                   "arrangement": arrangement_to_json(arr)}
-    else:
-        if args.seed is None:
-            raise ParameterError("--seed required when no --lambda file is given")
-        arr = random_omega_sample(args.seed, args.n, args.d)
-        results = {"generalPosition": True, "arrangement": arrangement_to_json(arr)}
+    arr = _load_arrangement(args)
+    results = {"generalPosition": in_general_position(arr) if args.lam else True,
+               "arrangement": arrangement_to_json(arr)}
     return _emit({"results": results}, args.format)
 
 
 def cmd_fiber(args):
     arr = _load_arrangement(args)
     model = VarietyModel(p=args.p, arrangement=arr)
-    coords = [complex(c) for c in args.point.split(",")]
+    try:
+        coords = [complex(c) for c in args.point.split(",")]
+    except ValueError as exc:
+        raise ParameterError(f"--point expects complex numbers, got {args.point!r}") from exc
     y = ProjectivePoint(tuple(coords))
     points = fiber_over(y, model, cap=args.cap_elements)
     for pt in points:
@@ -139,8 +141,7 @@ def cmd_invariants(args):
     K = subgroup_from_lift_rows(rows, params)
     model = None
     if args.lam:
-        with open(args.lam) as fh:
-            model = VarietyModel(p=args.p, arrangement=arrangement_from_json(json.load(fh)))
+        model = VarietyModel(p=args.p, arrangement=arrangement_from_json(_read_json(args.lam)))
     elif args.n == args.d + 1:
         model = fermat_model(p=args.p, d=args.d)
     results = quotient_model_report(K, model=model)
@@ -195,8 +196,7 @@ def build_parser():
 
     sp = sub.add_parser("classify", help="enumerate and classify into permutation orbits")
     add_common(sp, d=True, p=True, n=True, m=True)
-    sp.add_argument("--classify", action="store_true", help=argparse.SUPPRESS)
-    sp.set_defaults(func=cmd_classify)
+    sp.set_defaults(func=cmd_enumerate, classify=True)
 
     sp = sub.add_parser("cohomology", help="cohomological invariants")
     add_common(sp, d=True, p=True, n=True)

@@ -115,6 +115,8 @@ class CohomologyProfile:
 def genus_profile(d: int, p: int, n: int) -> CohomologyProfile:
     if d < 2:
         raise ParameterError(f"profile requires d >= 2, got {d}")
+    if p < 2:
+        raise ParameterError(f"profile requires p >= 2, got {p}")
     if n < d + 1:
         raise ParameterError(f"profile requires n >= d+1, got n={n}, d={d}")
     r1 = canonical_twist(d, p, n)
@@ -180,6 +182,8 @@ class HyperbolicityVerdict:
 def hyperbolicity_verdict(d: int, p: int, n: int) -> HyperbolicityVerdict:
     if d < 2:
         raise ParameterError(f"verdict requires d >= 2, got {d}")
+    if p < 2:
+        raise ParameterError(f"verdict requires p >= 2, got {p}")
     if n < d + 1:
         raise ParameterError(f"verdict requires n >= d+1, got n={n}, d={d}")
     if d == 2 and (p, n) in K3_SURFACES:

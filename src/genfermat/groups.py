@@ -320,7 +320,10 @@ def subgroup_to_json(K: Subgroup):
 
 def subgroup_from_json(data, d: int = None) -> Subgroup:
     params = GroupParams(p=data["p"], n=data["n"], d=d if d is not None else 1)
-    return subgroup_from_lift_rows([tuple(r) for r in data["basis"]], params)
+    rows = [tuple(r) for r in data["basis"]]
+    if any(len(r) != params.n + 1 for r in rows):
+        raise DimensionError(f"basis rows must have n+1 = {params.n + 1} entries")
+    return subgroup_from_lift_rows(rows, params)
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,16 @@ every character row pairs to zero with its exponent vector mod p: the
 characters of its variables (the columns of the rows), taken with
 multiplicity, sum to zero.  The minimal monomial generators (the Hilbert
 basis of the invariant monoid up to a degree bound) are found by a walk over
-zero-sum-free sequences of characters; their binomial relations, the
-affine-linear relations coming from the defining equations on the chart
-x_{n+1}=1, and the induced action of the quotient group are computed here.
+zero-sum-free sequences of characters.  Their binomial relations come from
+one pruned depth-first walk over generator multisets, keyed by packed-int
+exponent sums and emitted already sorted.  The affine-linear relations
+coming from the defining equations on the chart x_{n+1}=1, and the induced
+action of the quotient group, are computed here too.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
 
 from .errors import (
     DimensionError,
@@ -156,27 +158,55 @@ def _multiset_exponent_sum(gens, multiset):
 
 
 def find_binomial_relations(gens, degree_bound: int = None, max_side: int = 3):
-    """All pairs of distinct generator multisets (each side of size <=
-    max_side, product degree <= bound) with equal exponent-vector sums,
-    deduplicated up to swapping sides.  Sides are index multisets, sorted."""
-    if not gens:
+    """All pairs (a, b) of distinct generator multisets, each side of size
+    <= max_side and product degree <= bound (default: max_side times the
+    largest generator degree), with equal exponent-vector sums.  Sides are
+    sorted index tuples with a < b, and the list is sorted by (a, b).
+
+    Each generator is packed into one int, with one field per variable wide
+    enough for a sum of max_side entries, so a multiset's sum is an int
+    addition and its dictionary key.  The multisets are walked depth-first
+    in reverse lexicographic order (larger children first, then the node),
+    with the running degree: a branch is cut once it passes the bound,
+    since degrees are >= 0.  A visited multiset is paired with the members
+    of its sum class visited before it, which are lexicographically larger,
+    so reversing the emitted list once leaves it sorted.  Exponent vectors
+    must be non-negative and of equal length, or the packing is not
+    injective."""
+    if not gens or max_side < 1:
         return []
+    num_vars = len(gens[0])
+    if any(len(g) != num_vars for g in gens):
+        raise DimensionError("generator exponent vectors differ in length")
+    if any(x < 0 for g in gens for x in g):
+        raise ParameterError("generator exponents must be non-negative")
+    degrees = [sum(g) for g in gens]
     if degree_bound is None:
-        degree_bound = max_side * max(sum(g) for g in gens)
+        degree_bound = max_side * max(degrees)
+    width = (max_side * max(max(g, default=0) for g in gens)).bit_length() + 1
+    packed = [sum(x << (width * i) for i, x in enumerate(g)) for g in gens]
     by_sum = {}
-    for size in range(1, max_side + 1):
-        for multiset in combinations_with_replacement(range(len(gens)), size):
-            total = _multiset_exponent_sum(gens, multiset)
-            if sum(total) > degree_bound:
-                continue
-            by_sum.setdefault(total, []).append(multiset)
     relations = []
-    for multisets in by_sum.values():
-        if len(multisets) < 2:
+    stack = [((), 0, 0, True)]  # (multiset, packed sum, degree, expand or visit)
+    while stack:
+        node, key, degree, expand = stack.pop()
+        if not expand:
+            group = by_sum.get(key)
+            if group is None:
+                by_sum[key] = [node]
+            else:
+                relations.extend(zip(repeat(node), group))
+                group.append(node)
             continue
-        for a, b in combinations(sorted(multisets), 2):
-            relations.append((a, b))
-    relations.sort()
+        grow = len(node) + 1 < max_side
+        for j in range(node[-1] if node else 0, len(gens)):
+            child_degree = degree + degrees[j]
+            if child_degree <= degree_bound:
+                child, child_key = node + (j,), key + packed[j]
+                stack.append((child, child_key, child_degree, False))
+                if grow:
+                    stack.append((child, child_key, child_degree, True))
+    relations.reverse()
     return relations
 
 

@@ -113,6 +113,31 @@ def test_parameter_error_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("fixed-points", "--d", "2", "--p", "3", "--n", "3", "--element", "1,x,2,0"),
+    ("fiber", "--d", "2", "--p", "3", "--n", "4", "--seed", "1", "--point", "abc"),
+    ("cohomology", "--d", "2", "--p", "0", "--n", "3"),
+    ("cohomology", "--d", "2", "--p", "1", "--n", "3"),
+    ("hyperbolicity", "--d", "2", "--p", "-3", "--n", "4"),
+])
+def test_malformed_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_unreadable_lambda_file_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    for path in (tmp_path / "missing.json", bad):
+        code, out, err = run(capsys, "arrangement", "--d", "2", "--n", "4",
+                             "--lambda", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
 def test_resource_limit_exit_code(capsys):
     code, _, err = run(
         capsys, "enumerate", "--d", "2", "--p", "2", "--n", "6", "--m", "3",

@@ -203,6 +203,12 @@ def test_subgroup_json_roundtrip(p2n6):
     assert K2.basis == K.basis
 
 
+def test_subgroup_json_rejects_wrong_row_length():
+    for row in ([0, 1, 0, 1, 1], [0, 1]):
+        with pytest.raises(DimensionError):
+            subgroup_from_json({"p": 2, "n": 3, "basis": [[1, 1, 1, 1], row]})
+
+
 # --- generator permutations ------------------------------------------------
 
 def test_permutation_validation():

@@ -1,6 +1,7 @@
 """Invariant monomials, Hilbert bases, relations, and induced actions."""
 
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from genfermat.errors import (
     UnsupportedParameterError,
 )
 from genfermat.geometry import fermat_model, random_omega_sample, VarietyModel
+from genfermat.golden import EXAMPLE_GENERATORS, EXAMPLE_RELATIONS
 from genfermat.groups import GroupParams, rank_mod_p, subgroup_from_generators, word
 from genfermat.invariants import (
     DiagonalAction,
@@ -172,6 +174,55 @@ def test_binomial_relations_found_and_verified():
     assert verify_relations(gens, [((0,), (1,))]) == [False]
     with pytest.raises(ParameterError):
         verify_relations(gens, [((99,), (0,))])
+
+
+def binomial_relations_oracle(gens, degree_bound, max_side):
+    """Brute-force oracle for `find_binomial_relations`: group every
+    multiset of at most max_side generators within the degree bound by its
+    exponent sum, take all pairs (a, b) with a < b in each group, then
+    sort."""
+    if degree_bound is None:
+        degree_bound = max_side * max(sum(g) for g in gens)
+    by_sum = {}
+    for size in range(1, max_side + 1):
+        for multiset in combinations_with_replacement(range(len(gens)), size):
+            total = tuple(map(sum, zip(*(gens[i] for i in multiset))))
+            if sum(total) <= degree_bound:
+                by_sum.setdefault(total, []).append(multiset)
+    return sorted(pair for group in by_sum.values()
+                  for pair in combinations(sorted(group), 2))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_binomial_relations_match_oracle(data):
+    nv = data.draw(st.integers(1, 5))
+    gens = data.draw(st.lists(st.tuples(*[st.integers(0, 3) for _ in range(nv)]),
+                              min_size=1, max_size=12))
+    max_side = data.draw(st.integers(1, 4))
+    bound = data.draw(st.one_of(st.none(), st.integers(1, 12)))
+    assert (find_binomial_relations(gens, degree_bound=bound, max_side=max_side)
+            == binomial_relations_oracle(gens, bound, max_side))
+
+
+def test_binomial_relations_input_contract():
+    with pytest.raises(DimensionError):
+        find_binomial_relations([(1, 0), (0, 1, 1)])
+    with pytest.raises(DimensionError):
+        find_binomial_relations([(1, 0, 1), (0, 1)])
+    with pytest.raises(ParameterError):
+        find_binomial_relations([(1, 0), (2, -1)])
+
+
+def test_binomial_relations_contain_the_golden_relations():
+    golden = [tuple(sorted(tuple(sorted(i - 1 for i in side)) for side in rel))
+              for rel in EXAMPLE_RELATIONS]
+    four_sided = {rel for rel in golden if max(map(len, rel)) == 4}
+    assert len(four_sided) == 3
+    assert set(golden) <= set(find_binomial_relations(EXAMPLE_GENERATORS, max_side=4))
+    default = find_binomial_relations(EXAMPLE_GENERATORS)
+    assert len(default) == 124
+    assert set(golden) - set(default) == four_sided
 
 
 def test_linear_relations_on_fermat_chart():
