@@ -35,7 +35,6 @@ from .enumeration import (  # noqa: F401
     EnumerationTask,
     necessary_bounds,
     enumerate_all,
-    enumerate_normalized,
     classify_orbits,
     construct_family,
     gaussian_binomial,

@@ -84,7 +84,7 @@ def cmd_fixed_points(args):
 def cmd_enumerate(args):
     task = EnumerationTask(
         d=args.d, p=args.p, n=args.n, m=args.m,
-        cap_subspaces=args.cap_subspaces, cap_elements=args.cap_elements,
+        cap_subspaces=args.cap_subspaces,
     )
     payload = enumeration_report(task, classify=args.classify)
     return _emit(payload, args.format)
@@ -181,8 +181,6 @@ def build_parser():
         if m:
             sp.add_argument("--m", type=int, required=True)
         sp.add_argument("--format", choices=("json", "text"), default="json")
-        sp.add_argument("--cap-subspaces", type=int, default=2_000_000)
-        sp.add_argument("--cap-elements", type=int, default=2 ** 20)
 
     sp = sub.add_parser("fixed-points", help="level sets and fixed strata of one element")
     add_common(sp, d=True, p=True, n=True)
@@ -192,10 +190,12 @@ def build_parser():
     sp = sub.add_parser("enumerate", help="enumerate freely-acting subgroups")
     add_common(sp, d=True, p=True, n=True, m=True)
     sp.add_argument("--classify", action="store_true")
+    sp.add_argument("--cap-subspaces", type=int, default=2_000_000)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("classify", help="enumerate and classify into permutation orbits")
     add_common(sp, d=True, p=True, n=True, m=True)
+    sp.add_argument("--cap-subspaces", type=int, default=2_000_000)
     sp.set_defaults(func=cmd_enumerate, classify=True)
 
     sp = sub.add_parser("cohomology", help="cohomological invariants")
@@ -220,6 +220,7 @@ def build_parser():
     sp.add_argument("--lambda", dest="lam", default=None)
     sp.add_argument("--point", required=True,
                     help="comma-separated base-point coordinates (d+1 complex numbers)")
+    sp.add_argument("--cap-elements", type=int, default=2 ** 20)
     sp.set_defaults(func=cmd_fiber)
 
     sp = sub.add_parser("invariants", help="invariant-monomial quotient model")

@@ -54,18 +54,14 @@ class EnumerationTask:
     n: int
     m: int
     cap_subspaces: int = 2_000_000
-    cap_elements: int = 2 ** 20
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise UnsupportedParameterError(f"enumeration requires p prime, got {self.p}")
         if not (1 <= self.d <= self.n) or not (0 <= self.m <= self.n):
             raise ParameterError(f"bad task parameters d={self.d}, n={self.n}, m={self.m}")
-        if self.cap_subspaces < 0 or self.cap_elements < 0:
-            raise ParameterError(
-                f"caps must be non-negative, got cap_subspaces={self.cap_subspaces}, "
-                f"cap_elements={self.cap_elements}"
-            )
+        if self.cap_subspaces < 0:
+            raise ParameterError(f"cap_subspaces must be non-negative, got {self.cap_subspaces}")
 
     @property
     def params(self) -> GroupParams:
@@ -300,7 +296,7 @@ def enumerate_all(task: EnumerationTask, prune: bool = True):
 
 
 # ---------------------------------------------------------------------------
-# Normalized-form generation (d = 2 fast path)
+# Normalized-form generation (test cross-check oracle for d = 2)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -337,7 +333,9 @@ def _rows_compatible(a, b, p: int) -> bool:
 
 def enumerate_normalized(task: EnumerationTask):
     """All exponent matrices in normalized form (only for d=2, where the
-    four closure conditions characterize freeness)."""
+    four closure conditions characterize freeness).  An independent oracle
+    that the tests compare, up to generator permutation, with
+    `enumerate_all`; no enumeration path uses it."""
     if task.d != 2:
         raise UnsupportedParameterError(
             "normalized-form generation is only defined for d=2; use enumerate_all"

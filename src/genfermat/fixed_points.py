@@ -19,7 +19,6 @@ class LevelSets:
     computed on the normalized (last entry 0) representative."""
 
     by_value: dict  # residue -> sorted tuple of 1-based indices
-    size_multiset: tuple  # sorted sizes of the nonempty level sets
 
     def __post_init__(self):
         object.__setattr__(
@@ -39,8 +38,7 @@ def level_sets(x: GroupElement) -> LevelSets:
     by_value = {}
     for i, e in enumerate(x.exponents, start=1):
         by_value.setdefault(e, []).append(i)
-    sizes = tuple(sorted(len(v) for v in by_value.values()))
-    return LevelSets(by_value=by_value, size_multiset=sizes)
+    return LevelSets(by_value=by_value)
 
 
 def _check_nontrivial(x: GroupElement, d: int):

@@ -154,7 +154,21 @@ def arrangement_to_json(arr: Arrangement):
 
 
 def arrangement_from_json(data) -> Arrangement:
-    lam = tuple(tuple(Fraction(x) for x in row) for row in data["lambda"])
+    """Inverse of `arrangement_to_json`; JSON of any other shape raises
+    ParameterError."""
+    if not (
+        isinstance(data, dict)
+        and all(type(data.get(key)) is int for key in ("n", "d"))
+        and isinstance(data.get("lambda"), list)
+        and all(isinstance(row, list) for row in data["lambda"])
+    ):
+        raise ParameterError(
+            "arrangement JSON must be an object with integers n, d and a list of rows lambda"
+        )
+    try:
+        lam = tuple(tuple(Fraction(x) for x in row) for row in data["lambda"])
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ParameterError(f"non-numeric arrangement entry: {exc}") from exc
     return Arrangement(lam=lam, n=data["n"], d=data["d"])
 
 

@@ -1,290 +1,39 @@
-"""Acceptance suite: one test per stated criterion, each printing a
-pass/fail line on the real terminal and enforcing its time budget."""
-
-import cmath
-import random
-import time
-from itertools import product
+"""Acceptance suite: drives the golden checks of `genfermat reproduce-paper`,
+printing one pass/fail line per check on the real terminal and enforcing
+the time budgets of `reproduce.BUDGETS` and `reproduce.RUN_BUDGET`."""
 
 import pytest
 
-from genfermat.cohomology import (
-    K3_SURFACES,
-    RATIONAL_SURFACES,
-    canonical_twist,
-    genus_profile,
-    h0_oracle,
-    h0_twist,
-    h_i,
-    hyperbolicity_verdict,
-    plurigenus,
-    rh_genus,
-)
-from genfermat.enumeration import (
-    EnumerationTask,
-    canonical_orbit_key,
-    classify_orbits,
-    construct_family,
-    enumerate_all,
-    gaussian_binomial,
-)
-from genfermat.fixed_points import acts_freely_subgroup, has_fixed_points, level_sets
-from genfermat.geometry import (
-    POINT_TOL,
-    ProjectivePoint,
-    RESIDUAL_TOL,
-    VarietyModel,
-    apply_element,
-    fermat_model,
-    fiber_over,
-    is_on_variety,
-    on_branch_locus,
-    projectively_close,
-    random_omega_sample,
-    residual,
-)
-from genfermat.golden import (
-    EXAMPLE_GENERATORS,
-    EXAMPLE_RELATIONS,
-    EXAMPLE_SIGN_PATTERNS,
-    rank3_reference_subgroup,
-)
-from genfermat.groups import (
-    GroupParams,
-    elem_normalize,
-    quotient_rank,
-    subgroup_canonical_key,
-)
-from genfermat.invariants import (
-    action_from_subgroup,
-    hilbert_basis,
-    induced_action,
-    verify_relations,
-)
-from genfermat.reproduce import run_reproduce
+from genfermat import reproduce
+
+NAMES = tuple(name for name, _ in reproduce.CHECKS)
 
 
-@pytest.fixture
-def report(capsys, request):
-    """Print one pass/fail line per criterion on the real terminal."""
-    outcome = {"ok": False, "detail": ""}
-    t0 = time.perf_counter()
-    yield outcome
-    elapsed = time.perf_counter() - t0
-    status = "PASS" if outcome["ok"] else "FAIL"
-    name = request.node.name.replace("test_", "")
+@pytest.fixture(scope="module")
+def results():
+    """Check results by name, filled by `seconds`."""
+    return {}
+
+
+def seconds(results, names):
+    """Time taken by the named checks; each check runs once per module."""
+    for name in names:
+        if name not in results:
+            results[name] = reproduce.run_check(name, dict(reproduce.CHECKS)[name])
+    return sum(results[name]["elapsed_ms"] for name in names) / 1000
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_check(name, results, capsys):
+    t = seconds(results, (name,))
+    r = results[name]
     with capsys.disabled():
-        print(f"[{status}] {name}: {outcome['detail']} ({elapsed:.2f}s)")
+        print(f"[{'PASS' if r['ok'] else 'FAIL'}] {name}: {r['detail']} ({t:.2f}s)")
+    assert r["ok"], r["detail"]
+    for names, budget in reproduce.BUDGETS.items():
+        if name in names:
+            assert seconds(results, names) < budget, names
 
 
-def finish(outcome, detail):
-    outcome["ok"] = True
-    outcome["detail"] = detail
-
-
-def test_criterion_01_rank3_classification(report):
-    t0 = time.perf_counter()
-    for n in (4, 5):
-        assert enumerate_all(EnumerationTask(d=2, p=2, n=n, m=3), prune=False) == []
-    task = EnumerationTask(d=2, p=2, n=6, m=3)
-    assert gaussian_binomial(6, 3, 2) == 1395
-    found = enumerate_all(task, prune=False)
-    assert len(found) == 30
-    orbits = classify_orbits(found)
-    assert len(orbits) == 1
-    ref = rank3_reference_subgroup()
-    assert subgroup_canonical_key(ref) in orbits[0].members
-    assert canonical_orbit_key(orbits[0].representative) == canonical_orbit_key(ref)
-    assert time.perf_counter() - t0 < 10
-    finish(report, "n=4,5 empty; n=6 gives 30 subgroups in one orbit, "
-                   "representative matches the reference kernel")
-
-
-def test_criterion_02_rank_lower_bound_sweep(report):
-    t0 = time.perf_counter()
-    for p in (2, 3):
-        for n in range(2, 9):
-            assert enumerate_all(EnumerationTask(d=2, p=p, n=n, m=2)) == []
-    checked = 0
-    for d in (2, 3):
-        for p in (2, 3, 5):
-            for n in range(d + 1, 8):
-                for m in range(1, n + 1):
-                    if gaussian_binomial(n, n - m, p) > 50_000:
-                        continue
-                    found = enumerate_all(EnumerationTask(d=d, p=p, n=n, m=m))
-                    if found:
-                        assert m >= d, (d, p, n, m)
-                    checked += 1
-    assert time.perf_counter() - t0 < 60
-    finish(report, f"no rank-2 quotients for p in {{2,3}}, n <= 8; "
-                   f"m >= d on all {checked} nonempty-capable sweep cells")
-
-
-def test_criterion_03_family_constructions(report):
-    t0 = time.perf_counter()
-    cases = (
-        [("n_minus_1", dict(n=n), n - 1) for n in range(5, 9)]
-        + [("n_minus_2", dict(n=n), n - 2) for n in range(6, 9)]
-        + [("even_m", dict(m=4), 4), ("odd_m", dict(m=3), 3)]
-    )
-    for kind, kwargs, want_m in cases:
-        K = construct_family(kind, **kwargs)
-        assert acts_freely_subgroup(K, 2), (kind, kwargs)
-        assert quotient_rank(K) == want_m, (kind, kwargs)
-    K = construct_family("even_m", m=4)
-    assert K.params.n == 9
-    assert time.perf_counter() - t0 < 10
-    finish(report, f"{len(cases)} explicit kernels act freely with the stated ranks")
-
-
-def test_criterion_04_free_element_existence(report):
-    for d in (2, 3, 4):
-        for n in range(d + 1, 2 * d + 1):
-            params = GroupParams(p=2, n=n, d=d)
-            for bits in product(range(2), repeat=n):
-                if not any(bits):
-                    continue
-                x = elem_normalize(bits + (0,), params)
-                assert has_fixed_points(x, d), (d, n, bits)
-    for d in (2, 3):
-        n = d + 1
-        for p in range(2, 8):
-            params = GroupParams(p=p, n=n, d=d)
-            free_exists = any(
-                not has_fixed_points(elem_normalize(exps + (0,), params), d)
-                for exps in product(range(p), repeat=n)
-                if any(exps)
-            )
-            assert free_exists == (p >= d + 2), (d, p)
-    finish(report, "no free elements for p=2, n <= 2d; Fermat free elements "
-                   "exist iff p >= d+2")
-
-
-def test_criterion_05_cohomology_agreement(report):
-    t0 = time.perf_counter()
-    equalities = 0
-    for d in (2, 3):
-        for p in range(2, 6):
-            for n in range(d + 1, 8):
-                r1 = canonical_twist(d, p, n)
-                for r in range(0, 21):
-                    assert h0_twist(d, p, n, r) == h0_oracle(d, p, n, r), (d, p, n, r)
-                    assert h_i(d, p, n, 0, r) == h_i(d, p, n, d, r1 - r)
-                    equalities += 2
-    for p in range(2, 8):
-        for n in range(3, 8):
-            prof = genus_profile(2, p, n)
-            if (p, n) in RATIONAL_SURFACES:
-                assert prof.surface_class == "Rational"
-            elif (p, n) in K3_SURFACES:
-                assert prof.surface_class == "K3"
-            else:
-                assert prof.surface_class == "GeneralType"
-            assert prof.is_calabi_yau == (prof.r1 == 0)
-    assert time.perf_counter() - t0 < 60
-    finish(report, f"{equalities} exact equalities; surface trichotomy and "
-                   f"Calabi-Yau flag verified")
-
-
-def test_criterion_06_plurigenus_asymptotics(report):
-    t0 = time.perf_counter()
-    d, p, n, m = 2, 3, 5, 200
-    r1 = canonical_twist(d, p, n)
-    pm = plurigenus(d, p, n, m)
-    ratio = pm * 2 / (p ** (n - d) * r1 ** d * m ** d)
-    assert abs(ratio - 1) <= 0.05
-    assert time.perf_counter() - t0 < 5
-    finish(report, f"P_200 within {abs(ratio - 1):.4f} of the leading term")
-
-
-def test_criterion_07_hyperbolicity_table(report):
-    assert rh_genus(4, (2, 2, 2)) == 0
-    assert rh_genus(9, (3, 3, 3)) == 1
-    assert rh_genus(4, (2, 2, 2, 2)) == 1
-    cells = 0
-    for d in range(2, 5):
-        for p in range(2, 8):
-            for n in range(d + 1, 2 * d + 3):
-                v = hyperbolicity_verdict(d, p, n)
-                if d == 2 and (p, n) in K3_SURFACES:
-                    want = "K3Exception"
-                elif n <= 2 * d - 1:
-                    want = 1
-                elif n == 2 * d and p in (2, 3):
-                    want = 2
-                elif n == 2 * d + 1 and p == 2:
-                    want = 3
-                else:
-                    want = None
-                assert v.case == want, (d, p, n)
-                assert (v.status == "Unknown") == (want is None)
-                cells += 1
-    finish(report, f"witness genera 0/1/1 and all {cells} verdict cells match")
-
-
-def test_criterion_08_fiber_geometry(report):
-    t0 = time.perf_counter()
-    arr = random_omega_sample(2024, 4, 2)
-    model = VarietyModel(p=2, arrangement=arr)
-    rng = random.Random(2024)
-    fibers_checked = 0
-    last_fiber = None
-    while fibers_checked < 20:
-        y = ProjectivePoint(tuple(
-            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)
-        ))
-        if on_branch_locus(arr, y):
-            continue
-        pts = fiber_over(y, model)
-        assert len(pts) == 16
-        for pt in pts:
-            assert residual(model, pt) <= RESIDUAL_TOL
-        fibers_checked += 1
-        last_fiber = pts
-    x0 = last_fiber[0]
-    for exps in product(range(2), repeat=4):
-        img = apply_element(exps + (0,), x0, 2)
-        assert any(projectively_close(img, q, tol=POINT_TOL) for q in last_fiber)
-    # three fixed points of (1,1,2,0) on the Fermat cubic
-    cubic = fermat_model(p=3, d=2)
-    x = elem_normalize((1, 1, 2, 0), GroupParams(p=3, n=3, d=2))
-    assert level_sets(x).by_value == {0: (4,), 1: (1, 2), 2: (3,)}
-    for zeta in (-1, cmath.exp(1j * cmath.pi / 3), cmath.exp(-1j * cmath.pi / 3)):
-        pt = ProjectivePoint((1, zeta, 0, 0))
-        assert is_on_variety(cubic, pt)
-        assert projectively_close(apply_element(x.exponents, pt, 3), pt)
-    assert time.perf_counter() - t0 < 30
-    finish(report, "20 fibers of 16 points each verified; deck orbit "
-                   "reproduces a fiber; three cubic fixed points confirmed")
-
-
-def test_criterion_09_invariant_ring(report):
-    t0 = time.perf_counter()
-    K = rank3_reference_subgroup()
-    action = action_from_subgroup(K)
-    gens = hilbert_basis(action)
-    assert tuple(gens) == EXAMPLE_GENERATORS
-    rels = [
-        (tuple(i - 1 for i in a), tuple(i - 1 for i in b))
-        for a, b in EXAMPLE_RELATIONS
-    ]
-    assert len(rels) == 28
-    assert all(verify_relations(gens, rels))
-    table = induced_action(K, gens)
-    patterns = tuple(
-        tuple(i + 1 for i, c in enumerate(chars) if c) for _, chars in table
-    )
-    assert patterns == EXAMPLE_SIGN_PATTERNS
-    assert time.perf_counter() - t0 < 10
-    finish(report, "13 generators, 28 relations, 3 sign patterns reproduced")
-
-
-def test_criterion_10_reproduce_all(report):
-    t0 = time.perf_counter()
-    all_ok, results = run_reproduce()
-    failing = [r["check"] for r in results if not r["ok"]]
-    assert all_ok, f"failing checks: {failing}"
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 300
-    finish(report, f"all {len(results)} reproduction checks pass in {elapsed:.1f}s")
+def test_whole_run_budget(results):
+    assert seconds(results, NAMES) < reproduce.RUN_BUDGET

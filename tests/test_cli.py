@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from genfermat import reproduce
 from genfermat.cli import main
 from genfermat.geometry import arrangement_to_json, random_omega_sample
 
@@ -128,9 +129,18 @@ def test_malformed_input_exits_2(capsys, argv):
 
 
 def test_unreadable_lambda_file_exits_2(capsys, tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    for path in (tmp_path / "missing.json", bad):
+    paths = [tmp_path / "missing.json"]
+    for i, content in enumerate((
+        "{not json",
+        "[1, 2]",
+        "{}",
+        '{"lambda": "x", "n": 4, "d": 2}',
+        '{"lambda": [["1", "2"]], "d": 2}',
+        '{"lambda": [["1", "x"]], "n": 4, "d": 2}',
+    )):
+        paths.append(tmp_path / f"bad{i}.json")
+        paths[-1].write_text(content)
+    for path in paths:
         code, out, err = run(capsys, "arrangement", "--d", "2", "--n", "4",
                              "--lambda", str(path))
         assert code == 2
@@ -138,10 +148,22 @@ def test_unreadable_lambda_file_exits_2(capsys, tmp_path):
         assert err.startswith("error:")
 
 
+def test_cap_flag_rejected_where_unread():
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "--d", "2", "--p", "3", "--n", "5", "--cap-subspaces", "5"])
+    assert exc.value.code == 2
+
+
 def test_resource_limit_exit_code(capsys):
     code, _, err = run(
         capsys, "enumerate", "--d", "2", "--p", "2", "--n", "6", "--m", "3",
         "--cap-subspaces", "10",
+    )
+    assert code == 3
+    assert "resource limit" in err
+    code, _, err = run(
+        capsys, "fiber", "--d", "2", "--p", "2", "--n", "4", "--seed", "11",
+        "--point", "1,0.31,-0.57", "--cap-elements", "1",
     )
     assert code == 3
     assert "resource limit" in err
@@ -184,3 +206,16 @@ def test_reproduce_filter(capsys):
     assert data["results"]["allPassed"] is True
     assert len(data["results"]["checks"]) == 1
     assert "[PASS] rank_bound" in err
+
+
+def test_failed_reproduction_exits_4(capsys, monkeypatch):
+    checks = (("fails", lambda: (False, "wrong value")), ("raises", lambda: 1 // 0))
+    monkeypatch.setattr(reproduce, "CHECKS", checks)
+    code, out, err = run(capsys, "reproduce-paper")
+    assert code == 4
+    data = json.loads(out)
+    assert data["results"]["allPassed"] is False
+    assert [r["ok"] for r in data["results"]["checks"]] == [False, False]
+    assert "[FAIL] fails: wrong value" in err
+    assert "[FAIL] raises: exception: ZeroDivisionError(" in err
+    assert "Traceback" not in err
