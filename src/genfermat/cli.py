@@ -189,9 +189,8 @@ def build_parser():
 
     sp = sub.add_parser("enumerate", help="enumerate freely-acting subgroups")
     add_common(sp, d=True, p=True, n=True, m=True)
-    sp.add_argument("--classify", action="store_true")
     sp.add_argument("--cap-subspaces", type=int, default=2_000_000)
-    sp.set_defaults(func=cmd_enumerate)
+    sp.set_defaults(func=cmd_enumerate, classify=False)
 
     sp = sub.add_parser("classify", help="enumerate and classify into permutation orbits")
     add_common(sp, d=True, p=True, n=True, m=True)

@@ -17,7 +17,11 @@ rejected together with every completion of its row prefix.  Freeness is
 cross-checked elsewhere against the element-wise predicate.
 Classification is up to the S_{n+1} of generator permutations, via orbit
 closure under its two standard generators; the canonical key of an orbit is
-the least subgroup key in that closure.
+the least subgroup key in that closure.  Lift bases in F_p^{n+1} are held
+as packed echelon rows with byte-aligned fields (p <= 255), so the key bytes
+are sliced straight out of the row ints.  Adjoining the all-ones vector to a
+kernel basis, and applying either generator, disturbs at most one row, so
+one rank-one insertion replaces a full elimination.
 """
 
 import time
@@ -32,15 +36,11 @@ from .errors import (
 )
 from .fixed_points import free_rank_bound
 from .groups import (
-    GroupElement,
     GroupParams,
     Subgroup,
     elem_normalize,
     is_prime,
     nullspace_mod_p,
-    perm_full_cycle,
-    perm_swap_first_two,
-    autg_apply_subgroup,
     subgroup_canonical_key,
     subgroup_from_lift_rows,
     subgroup_to_json,
@@ -58,6 +58,10 @@ class EnumerationTask:
     def __post_init__(self):
         if not is_prime(self.p):
             raise UnsupportedParameterError(f"enumeration requires p prime, got {self.p}")
+        if self.p > 255:
+            raise UnsupportedParameterError(
+                f"enumeration keys hold one byte per entry, so p <= 255, got {self.p}"
+            )
         if not (1 <= self.d <= self.n) or not (0 <= self.m <= self.n):
             raise ParameterError(f"bad task parameters d={self.d}, n={self.n}, m={self.m}")
         if self.cap_subspaces < 0:
@@ -107,15 +111,16 @@ def necessary_bounds(d: int, p: int, n: int, m: int) -> Verdict:
 
 class _Packed:
     """Vectors of F_p^m packed into one int, coordinate t in the w-bit field
-    at bit w*t.  Coordinatewise addition mod p is one int addition plus a
-    carry fix-up: biasing every field by 2^(w-1) - p sets its top bit
-    exactly where the sum reached p."""
+    at bit w*t (w defaults to the narrowest width, p.bit_length() + 1).
+    Coordinatewise addition mod p is one int addition plus a carry fix-up:
+    biasing every field by 2^(w-1) - p sets its top bit exactly where the
+    sum reached p."""
 
     __slots__ = ("p", "m", "w", "ones", "high", "bias")
 
-    def __init__(self, p: int, m: int):
+    def __init__(self, p: int, m: int, w: int = None):
         self.p, self.m = p, m
-        self.w = p.bit_length() + 1
+        self.w = w or p.bit_length() + 1
         self.ones = sum(1 << (self.w * t) for t in range(m))
         self.high = self.ones << (self.w - 1)
         self.bias = self.ones * ((1 << (self.w - 1)) - p)
@@ -131,6 +136,17 @@ class _Packed:
         s = u + v
         return s - (((s + self.bias) & self.high) >> (self.w - 1)) * self.p
 
+    def multiples(self, c: int) -> list:
+        """[0, c, 2c, ..., (p-1)c]: entry a is a*c."""
+        p, high, bias, sh = self.p, self.high, self.bias, self.w - 1
+        mults = [0, c]
+        s = c
+        for _ in range(p - 2):
+            s += c
+            s -= (((s + bias) & high) >> sh) * p
+            mults.append(s)
+        return mults
+
     def vectors(self) -> list:
         """All of F_p^m, ordered so that the first p^(m-s) entries are the
         vectors supported on coordinates s..m-1."""
@@ -143,9 +159,7 @@ class _Packed:
         """Add column c to the layered spans in place: spans[r] holds every
         combination of at most r columns, and gains spans[r-1] + a*c for
         a in F_p^*.  Returns the added sets, for shrink."""
-        mults = [c]
-        for _ in range(self.p - 2):
-            mults.append(self.add(mults[-1], c))
+        mults = self.multiples(c)[1:]
         p, high, bias, sh = self.p, self.high, self.bias, self.w - 1
         added = []
         for r in range(len(spans) - 1, 0, -1):
@@ -180,6 +194,33 @@ class _Packed:
             if x in lower:
                 return False
         return True
+
+    def insert(self, rows, v) -> list:
+        """Reduced echelon rows of the span of `rows` and v, where `rows` are
+        reduced echelon (pivot entries 1, sorted by pivot) and v is nonzero
+        with a zero at each of their pivots: scale v at its leading
+        coordinate, clear that coordinate from every row with one add each,
+        and insert v in pivot order."""
+        p, high, bias, sh = self.p, self.high, self.bias, self.w - 1
+        mask = (1 << self.w) - 1
+        c = ((v & -v).bit_length() - 1) // self.w * self.w
+        lead = 1 << c  # the lowest bit of a row with pivot entry 1 there
+        inv = pow((v >> c) & mask, -1, p)
+        mults = self.multiples(v)
+        u = mults[inv]
+        out = []
+        for r in rows:
+            f = (r >> c) & mask
+            if f:
+                s = r + mults[-f * inv % p]
+                r = s - (((s + bias) & high) >> sh) * p
+            elif u and r & -r > lead:
+                out.append(u)
+                u = 0  # placed
+            out.append(r)
+        if u:
+            out.append(u)
+        return out
 
 
 def _walk(row, hi, packed, vecs, spans, total, placed):
@@ -273,10 +314,39 @@ def subgroup_is_free_dual(K: Subgroup, d: int) -> bool:
     return _columns_free(cols, d, K.params.p)
 
 
+class _LiftRows:
+    """Lift bases in F_p^{n+1} as tuples of packed reduced echelon rows:
+    `_Packed` with fields of B = ceil((p.bit_length() + 1) / 8) bytes, for
+    p <= 255.  The bytes of a row, as `subgroup_canonical_key` joins them,
+    are then every B-th byte of its int."""
+
+    __slots__ = ("packed", "step", "size", "head")
+
+    def __init__(self, params: GroupParams):
+        self.step = (params.p.bit_length() + 8) // 8
+        self.packed = _Packed(params.p, params.n + 1, 8 * self.step)
+        self.size = self.step * (params.n + 1)
+        self.head = subgroup_canonical_key(Subgroup((), params))  # key of no rows
+
+    def pack(self, row) -> int:
+        if self.step == 1:
+            return int.from_bytes(bytes(row), "little")
+        buf = bytearray(self.step * len(row))
+        buf[::self.step] = bytes(row)
+        return int.from_bytes(buf, "little")
+
+    def row_bytes(self, rows) -> list:
+        return [v.to_bytes(self.size, "little")[::self.step] for v in rows]
+
+    def key(self, row_bytes) -> bytes:
+        return self.head + b"|".join(row_bytes)
+
+
 def enumerate_all(task: EnumerationTask, prune: bool = True):
     """All of F(d;p,n,m), sorted by canonical key.  Walks the
     (n-m)-dimensional subspaces of F_p^n under the subspace cap, pruning
-    every row prefix whose quotient columns already fail freeness."""
+    every row prefix whose quotient columns already fail freeness, and lifts
+    each kernel basis to F_p^{n+1} by one rank-one insertion of all-ones."""
     if prune and not necessary_bounds(task.d, task.p, task.n, task.m).possibly_nonempty:
         return []
     k = task.n - task.m
@@ -287,12 +357,22 @@ def enumerate_all(task: EnumerationTask, prune: bool = True):
             attempted=count,
         )
     params = task.params
-    found = [
-        subgroup_from_lift_rows([row + (0,) for row in basis], params)
-        for basis in iter_rref_bases(task.n, k, task.p, task.d)
-    ]
-    found.sort(key=subgroup_canonical_key)
-    return found
+    lift = _LiftRows(params)
+    packed = lift.packed
+    ones = packed.ones * (task.p + 1)
+    found = {}
+    pack = lift.pack
+    for basis in iter_rref_bases(task.n, k, task.p, task.d):
+        rows = [pack(row) for row in basis]
+        total = 0
+        for r in rows:
+            total = packed.add(total, r)
+        # all-ones reduced against the rows is all-ones minus their sum (each
+        # pivot entry is 1); (p+1)*ones - total has fields in [2, p+1], which
+        # the add fix-up reduces
+        row_bytes = lift.row_bytes(packed.insert(rows, packed.add(ones - total, 0)))
+        found[lift.key(row_bytes)] = Subgroup(tuple(map(tuple, row_bytes)), params)
+    return [found[key] for key in sorted(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -393,20 +473,35 @@ class OrbitClass:
 
 def _orbit_keys(K: Subgroup):
     """Canonical keys of every subgroup in the S_{n+1}-orbit of K, by
-    closure under a transposition and a full cycle, which generate S_{n+1}."""
-    n = K.params.n
-    sigmas = (perm_swap_first_two(n), perm_full_cycle(n))
-    keys = {subgroup_canonical_key(K)}
-    frontier = [K]
+    closure under the transposition (0 1) and the full cycle, which generate
+    S_{n+1}.  Members are lift bases held as packed rows (`_LiftRows`), and
+    neither generator needs an elimination, because the all-ones vector in
+    every lift keeps coordinate 0 a pivot:
+    - When coordinate 1 is a pivot, (0 1) exchanges rows 0 and 1 and their
+      entries at coordinates 0 and 1.  Otherwise row 0 is the only row
+      with support on coordinates 0 and 1, and as all-ones is the sum of
+      the rows both its entries there are 1, so the subgroup is fixed.
+    - The cycle moves coordinate j+1 to j and 0 to n.  Rows 1..k stay
+      reduced echelon, and row 0 is zero at their pivots, so it goes back
+      in by one `_Packed.insert`."""
+    lift = _LiftRows(K.params)
+    packed = lift.packed
+    w = packed.w
+    mask, top, e1 = (1 << w) - 1, w * K.params.n, 1 << w
+    start = tuple(lift.pack(row) for row in K.basis)
+    seen = {start}
+    frontier = [start]
     while frontier:
-        L = frontier.pop()
-        for sigma in sigmas:
-            img = autg_apply_subgroup(sigma, L)
-            key = subgroup_canonical_key(img)
-            if key not in keys:
-                keys.add(key)
+        rows = frontier.pop()
+        rot = [(r >> w) | ((r & mask) << top) for r in rows]
+        images = [tuple(packed.insert(rot[1:], rot[0]))]
+        if len(rows) > 1 and rows[1] & -rows[1] == e1:
+            images.append((rows[1] - e1 + 1, rows[0] - 1 + e1) + rows[2:])
+        for img in images:
+            if img not in seen:
+                seen.add(img)
                 frontier.append(img)
-    return keys
+    return {lift.key(lift.row_bytes(rows)) for rows in seen}
 
 
 def classify_orbits(subgroups):
@@ -439,8 +534,10 @@ def classify_orbits(subgroups):
 def canonical_orbit_key(K: Subgroup) -> bytes:
     """Least canonical key over the S_{n+1}-orbit of K: equal for two
     subgroups iff they differ by a generator permutation.  The orbit is
-    found by the same closure as `classify_orbits`, so this costs the orbit
-    size, not (n+1)!; intended for small n (n+1 <= 8)."""
+    found by the same closure as `classify_orbits`, a few int operations per
+    member on packed echelon rows (`_orbit_keys`), so this costs the orbit
+    size, not (n+1)! eliminations.  An orbit can still have (n+1)! members,
+    so n+1 is capped at 8."""
     n = K.params.n
     if n + 1 > 8:
         raise ResourceLimitError(f"full canonicalization limited to n+1 <= 8, got {n + 1}")

@@ -313,6 +313,8 @@ def fiber_over(y: ProjectivePoint, model: VarietyModel, cap: int = 2 ** 20):
     locus: exactly p^n points, ordered lexicographically in the root-choice
     exponents of coordinates 2..n+1."""
     n, d, p = model.n, model.d, model.p
+    if cap < 0:
+        raise ParameterError(f"cap must be non-negative, got {cap}")
     if len(y.coords) != d + 1:
         raise DimensionError(f"base point has {len(y.coords)} coords, expected {d + 1}")
     if on_branch_locus(model.arrangement, y):

@@ -120,6 +120,9 @@ def test_parameter_error_exit_code(capsys):
     ("cohomology", "--d", "2", "--p", "0", "--n", "3"),
     ("cohomology", "--d", "2", "--p", "1", "--n", "3"),
     ("hyperbolicity", "--d", "2", "--p", "-3", "--n", "4"),
+    ("enumerate", "--d", "2", "--p", "257", "--n", "3", "--m", "2"),
+    ("fiber", "--d", "2", "--p", "2", "--n", "4", "--seed", "11",
+     "--point", "1,0.31,-0.57", "--cap-elements", "-1"),
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -184,6 +187,12 @@ def test_enumerate_rejects_negative_cap(capsys):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+def test_enumerate_classify_flag_removed():
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--d", "2", "--p", "2", "--n", "6", "--m", "3", "--classify"])
+    assert exc.value.code == 2
 
 
 def test_enumerate_reports_pruning_reason(capsys):

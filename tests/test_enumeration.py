@@ -1,6 +1,6 @@
 """Subgroup enumeration, normalized generation, orbits, and families."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from genfermat.enumeration import (
     EnumerationTask,
     _columns_free,
+    _orbit_keys,
     canonical_orbit_key,
     classify_orbits,
     construct_family,
@@ -28,15 +29,19 @@ from genfermat.errors import (
 )
 from genfermat.fixed_points import acts_freely_subgroup
 from genfermat.groups import (
+    GeneratorPermutation,
+    GroupParams,
+    autg_apply_subgroup,
+    full_group,
     perm_full_cycle,
     perm_swap_first_two,
-    autg_apply_subgroup,
     quotient_rank,
     rank_mod_p,
     rref_mod_p,
     subgroup_canonical_key,
     subgroup_from_lift_rows,
     subgroup_order,
+    trivial_subgroup,
 )
 
 # Desk-scale sweep: every (d, p, n, m) whose candidate-subspace count stays
@@ -144,6 +149,8 @@ def test_task_validation():
         EnumerationTask(d=9, p=2, n=6, m=3)
     with pytest.raises(ParameterError):
         EnumerationTask(d=2, p=2, n=6, m=3, cap_subspaces=-5)
+    with pytest.raises(UnsupportedParameterError):
+        EnumerationTask(d=2, p=257, n=3, m=2)
 
 
 def test_necessary_bounds_prune():
@@ -189,6 +196,55 @@ def test_dual_matches_elementwise_on_sweep():
                 rejected_checked += 1
             if rejected_checked >= 20:
                 break
+
+
+# Cells whose lift rows need two-byte packed fields (128 <= p <= 255).
+WIDE_CELLS = [(1, 131, 2, 1), (1, 251, 2, 1)]
+
+
+def test_enumerate_all_lifts_match_elimination():
+    # the rank-one insertion of all-ones gives the basis a full elimination does
+    for d, p, n, m in SWEEP + WIDE_CELLS:
+        task = EnumerationTask(d=d, p=p, n=n, m=m)
+        eliminated = sorted(
+            (subgroup_from_lift_rows([row + (0,) for row in basis], task.params)
+             for basis in iter_rref_bases(n, n - m, p, d)),
+            key=subgroup_canonical_key,
+        )
+        found = enumerate_all(task, prune=False)
+        assert [K.basis for K in found] == [K.basis for K in eliminated], (d, p, n, m)
+
+
+def _orbit_keys_by_all_permutations(K):
+    """Oracle: the key of the image of K under each of the (n+1)!
+    permutations, each by a full elimination."""
+    return {
+        subgroup_canonical_key(autg_apply_subgroup(GeneratorPermutation(perm), K))
+        for perm in permutations(range(K.params.n + 1))
+    }
+
+
+@st.composite
+def lift_subspaces(draw):
+    """Any subspace of F_p^{n+1} that contains all-ones, free or not: the
+    span of all-ones and up to n+1 random rows."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * (n + 1)), max_size=n + 1))
+    return subgroup_from_lift_rows(rows, GroupParams(p=p, n=n, d=1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lift_subspaces())
+@example(full_group(GroupParams(p=2, n=1, d=1)))
+@example(trivial_subgroup(GroupParams(p=3, n=1, d=1)))
+@example(full_group(GroupParams(p=7, n=5, d=1)))
+@example(trivial_subgroup(GroupParams(p=5, n=5, d=1)))
+# 128 <= p <= 255: two-byte packed fields
+@example(subgroup_from_lift_rows([(0, 1, 5, 130), (0, 0, 2, 7)], GroupParams(p=131, n=3, d=1)))
+@example(subgroup_from_lift_rows([(3, 0, 250, 7, 1)], GroupParams(p=251, n=4, d=1)))
+def test_orbit_closure_matches_all_permutations(K):
+    assert _orbit_keys(K) == _orbit_keys_by_all_permutations(K)
 
 
 def test_normalized_generation_matches_enumeration():
