@@ -135,10 +135,7 @@ def cmd_fiber(args):
 
 def cmd_invariants(args):
     params = GroupParams(p=args.p, n=args.n, d=args.d)
-    rows = _parse_rows(args.gens)
-    if any(len(row) != args.n + 1 for row in rows):
-        raise ParameterError(f"--gens rows must have n+1 = {args.n + 1} entries")
-    K = subgroup_from_lift_rows(rows, params)
+    K = subgroup_from_lift_rows(_parse_rows(args.gens), params)
     model = None
     if args.lam:
         model = VarietyModel(p=args.p, arrangement=arrangement_from_json(_read_json(args.lam)))

@@ -26,7 +26,7 @@ one rank-one insertion replaces a full elimination.
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, islice, product
+from itertools import combinations, islice
 
 from .errors import (
     InconsistencyError,
@@ -38,7 +38,6 @@ from .fixed_points import free_rank_bound
 from .groups import (
     GroupParams,
     Subgroup,
-    elem_normalize,
     is_prime,
     nullspace_mod_p,
     subgroup_canonical_key,
@@ -376,91 +375,6 @@ def enumerate_all(task: EnumerationTask, prune: bool = True):
 
 
 # ---------------------------------------------------------------------------
-# Normalized-form generation (test cross-check oracle for d = 2)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExponentMatrix:
-    """Rows r_i in {0..p-1}^m for i = m+1..n+1: the images of the trailing
-    generators under a normalized quotient map."""
-
-    rows: tuple
-    p: int
-    m: int
-
-
-def _normalized_allowed_rows(p: int, m: int):
-    """Rows that are nonzero and do not have m-1 zero coordinates, i.e.
-    have at least two nonzero entries (for m >= 2)."""
-    out = []
-    for row in product(range(p), repeat=m):
-        nonzero = sum(1 for x in row if x)
-        if m >= 2 and nonzero >= 2:
-            out.append(row)
-        elif m == 1 and nonzero >= 1:
-            out.append(row)
-    return out
-
-
-def _rows_compatible(a, b, p: int) -> bool:
-    """Pairwise condition: a + l*b is never zero mod p for l in 1..p-1,
-    i.e. a is not a negated multiple of b."""
-    for l in range(1, p):
-        if all((x + l * y) % p == 0 for x, y in zip(a, b)):
-            return False
-    return True
-
-
-def enumerate_normalized(task: EnumerationTask):
-    """All exponent matrices in normalized form (only for d=2, where the
-    four closure conditions characterize freeness).  An independent oracle
-    that the tests compare, up to generator permutation, with
-    `enumerate_all`; no enumeration path uses it."""
-    if task.d != 2:
-        raise UnsupportedParameterError(
-            "normalized-form generation is only defined for d=2; use enumerate_all"
-        )
-    p, n, m = task.p, task.n, task.m
-    if m < 1 or m > n:
-        return []
-    nrows = n + 1 - m
-    allowed = _normalized_allowed_rows(p, m)
-    results = []
-    chosen = []
-
-    def backtrack(start_unused):
-        if len(chosen) == nrows:
-            # column sums: 1 + sum of r_{*,j} = 0 mod p for each j
-            if all((1 + sum(r[j] for r in chosen)) % p == 0 for j in range(m)):
-                results.append(ExponentMatrix(rows=tuple(chosen), p=p, m=m))
-            return
-        for row in allowed:
-            if all(_rows_compatible(prev, row, p) for prev in chosen):
-                chosen.append(row)
-                backtrack(None)
-                chosen.pop()
-
-    backtrack(None)
-    return results
-
-
-def matrix_to_subgroup(mat: ExponentMatrix, task: EnumerationTask) -> Subgroup:
-    """Kernel subgroup generated by phi_1^{r_{i,1}}...phi_m^{r_{i,m}} *
-    phi_i^{-1} for i = m+1..n+1."""
-    params = task.params
-    p, n, m = task.p, task.n, task.m
-    rows = []
-    for offset, r in enumerate(mat.rows):
-        i = m + 1 + offset  # 1-based generator index
-        raw = [0] * (n + 1)
-        for j in range(m):
-            raw[j] = r[j] % p
-        raw[i - 1] = (raw[i - 1] - 1) % p
-        rows.append(tuple(elem_normalize(raw, params).exponents))
-    return subgroup_from_lift_rows(rows, params)
-
-
-# ---------------------------------------------------------------------------
 # Orbit classification under generator permutations
 # ---------------------------------------------------------------------------
 
@@ -570,53 +484,40 @@ def _sum_units(m, idxs):
     return tuple(1 if j in idxs else 0 for j in range(m))
 
 
-def construct_family(kind: str, *, n: int = None, m: int = None, blocks=None,
-                     d: int = 2) -> Subgroup:
-    """Explicit freely-acting kernels for p=2.
+def construct_family(kind: str, *, n: int = None, m: int = None) -> Subgroup:
+    """Explicit freely-acting kernels for p=2 and d=2, each the kernel of a
+    quotient map whose columns are the m unit vectors followed by 0/1
+    vectors of weight >= 2 on fixed index blocks.
 
     kind one of:
-      n_minus_1: quotient rank n-1, needs n >= 5
-      n_minus_2: quotient rank n-2, needs n >= 6
-      even_m:    quotient rank m (even, >= 4), n = (m-1)(m+2)/2
-      odd_m:     quotient rank m (odd, >= 3), n = m(m+1)/2
+      n_minus_1: quotient rank n-1, needs n >= 5; two halves of the indices
+      n_minus_2: quotient rank n-2, needs n >= 6; blocks {0,1}, {2,3} and
+                 the rest, or {0,1}, {1,2}, {1,3,...} when n-2 < 6
+      even_m:    quotient rank m (even, >= 4), n = (m-1)(m+2)/2; all pairs
+      odd_m:     quotient rank m (odd, >= 3), n = m(m+1)/2; all pairs and
+                 the full index set
     """
-    p = 2
     if kind == "n_minus_1":
         if n is None or n < 5:
             raise ParameterError("n_minus_1 family requires n >= 5")
         mm = n - 1
-        if blocks is None:
-            half = mm // 2
-            blocks = (tuple(range(half)), tuple(range(half, mm)))
-        b1, b2 = blocks
-        if len(b1) < 2 or len(b2) < 2 or set(b1) & set(b2) or set(b1) | set(b2) != set(range(mm)):
-            raise ParameterError("blocks must partition the index range with sizes >= 2")
+        half = mm // 2
+        blocks = (range(half), range(half, mm))
         cols = [_unit(mm, i) for i in range(mm)]
-        cols += [_sum_units(mm, set(b1)), _sum_units(mm, set(b2))]
+        cols += [_sum_units(mm, b) for b in blocks]
     elif kind == "n_minus_2":
         if n is None or n < 6:
             raise ParameterError("n_minus_2 family requires n >= 6")
         mm = n - 2
-        if blocks is None:
-            if mm >= 6:
-                blocks = (
-                    (0, 1),
-                    (2, 3),
-                    tuple(range(4, mm)),
-                )
-            else:
-                # Too few indices for a disjoint partition; use overlapping
-                # blocks whose characteristic vectors are still distinct,
-                # of weight >= 2, and sum to the all-ones vector.
-                b3 = (1,) + tuple(range(3, mm))
-                blocks = ((0, 1), (1, 2), b3)
-        b1, b2, b3 = blocks
+        if mm >= 6:
+            blocks = ((0, 1), (2, 3), range(4, mm))
+        else:
+            # Too few indices for a disjoint partition; use overlapping
+            # blocks whose characteristic vectors are still distinct,
+            # of weight >= 2, and sum to the all-ones vector.
+            blocks = ((0, 1), (1, 2), (1, *range(3, mm)))
         cols = [_unit(mm, i) for i in range(mm)]
-        cols += [_sum_units(mm, set(b)) for b in (b1, b2, b3)]
-        if len(set(cols)) != len(cols) or any(sum(c) < 2 for c in cols[mm:]):
-            raise ParameterError("blocks yield repeated or short columns")
-        if any(sum(c[i] for c in cols) % 2 for i in range(mm)):
-            raise ParameterError("blocks do not satisfy the product relation")
+        cols += [_sum_units(mm, b) for b in blocks]
     elif kind == "even_m":
         if m is None or m < 4 or m % 2:
             raise ParameterError("even_m family requires even m >= 4")
@@ -634,7 +535,7 @@ def construct_family(kind: str, *, n: int = None, m: int = None, blocks=None,
         cols.append(_sum_units(mm, set(range(mm))))
     else:
         raise ParameterError(f"unknown family kind {kind!r}")
-    params = GroupParams(p=p, n=n, d=d)
+    params = GroupParams(p=2, n=n, d=2)
     if len(cols) != n + 1:
         raise InconsistencyError("column count mismatch in family construction")
     return _kernel_from_columns(cols, params)

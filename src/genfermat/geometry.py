@@ -19,6 +19,7 @@ from .errors import DimensionError, ParameterError, ResourceLimitError
 RESIDUAL_TOL = 1e-9
 POINT_TOL = 1e-8
 BRANCH_PROXIMITY = 1e-6
+OMEGA_TRIALS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +130,12 @@ def in_general_position_minors(arr: Arrangement) -> bool:
     return True
 
 
-def random_omega_sample(seed: int, n: int, d: int, trials: int = 1000) -> Arrangement:
+def random_omega_sample(seed: int, n: int, d: int) -> Arrangement:
     """Rejection-sample a rational matrix until the arrangement is in
     general position.  Deterministic for a given seed."""
     rng = random.Random(seed)
     rows = max(n - d - 1, 0)
-    for _ in range(trials):
+    for _ in range(OMEGA_TRIALS):
         lam = tuple(
             tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 7)) for _ in range(d))
             for _ in range(rows)
@@ -142,7 +143,7 @@ def random_omega_sample(seed: int, n: int, d: int, trials: int = 1000) -> Arrang
         arr = Arrangement(lam=lam, n=n, d=d)
         if in_general_position(arr):
             return arr
-    raise ResourceLimitError(f"no general-position sample found in {trials} trials")
+    raise ResourceLimitError(f"no general-position sample found in {OMEGA_TRIALS} trials")
 
 
 def arrangement_to_json(arr: Arrangement):
@@ -267,8 +268,8 @@ def residual(model: VarietyModel, x: ProjectivePoint) -> float:
     return worst
 
 
-def is_on_variety(model: VarietyModel, x: ProjectivePoint, tol: float = RESIDUAL_TOL) -> bool:
-    return residual(model, x) <= tol
+def is_on_variety(model: VarietyModel, x: ProjectivePoint) -> bool:
+    return residual(model, x) <= RESIDUAL_TOL
 
 
 def pi_project(x: ProjectivePoint, d: int, p: int) -> ProjectivePoint:
@@ -297,13 +298,13 @@ def apply_element(exponents, x: ProjectivePoint, p: int) -> ProjectivePoint:
     return ProjectivePoint(tuple(c * w ** e for c, e in zip(x.coords, exponents)))
 
 
-def on_branch_locus(arr: Arrangement, y: ProjectivePoint, threshold: float = BRANCH_PROXIMITY) -> bool:
+def on_branch_locus(arr: Arrangement, y: ProjectivePoint) -> bool:
     ynorm = math.sqrt(sum(abs(c) ** 2 for c in y.coords))
     for plane in arr.hyperplanes:
         fplane = [float(a) for a in plane]
         lnorm = math.sqrt(sum(a * a for a in fplane))
         val = abs(sum(a * c for a, c in zip(fplane, y.coords)))
-        if val < threshold * ynorm * lnorm:
+        if val < BRANCH_PROXIMITY * ynorm * lnorm:
             return True
     return False
 

@@ -240,6 +240,8 @@ def subgroup_from_lift_rows(rows, params: GroupParams) -> Subgroup:
     """Subgroup from raw lift vectors (all-ones is adjoined automatically)."""
     params.require_prime()
     all_rows = [(1,) * (params.n + 1)] + [tuple(r) for r in rows]
+    if any(len(r) != params.n + 1 for r in all_rows):
+        raise DimensionError(f"lift rows must have n+1 = {params.n + 1} entries")
     return Subgroup(rref_mod_p(all_rows, params.p), params)
 
 
@@ -308,9 +310,14 @@ def subgroup_elements(K: Subgroup, cap: int = 2 ** 20):
 
 def subgroup_canonical_key(K: Subgroup) -> bytes:
     """Deterministic serialization of the RREF lift basis; equal keys iff
-    equal subgroups (for fixed params)."""
+    equal subgroups (for fixed params).  One byte per entry, so p <= 255."""
     head = f"{K.params.p},{K.params.n};".encode()
-    body = b"|".join(bytes(row) for row in K.basis)
+    try:
+        body = b"|".join(bytes(row) for row in K.basis)
+    except ValueError as exc:
+        raise UnsupportedParameterError(
+            f"canonical keys hold one byte per entry, so p <= 255, got {K.params.p}"
+        ) from exc
     return head + body
 
 
@@ -320,10 +327,7 @@ def subgroup_to_json(K: Subgroup):
 
 def subgroup_from_json(data, d: int = None) -> Subgroup:
     params = GroupParams(p=data["p"], n=data["n"], d=d if d is not None else 1)
-    rows = [tuple(r) for r in data["basis"]]
-    if any(len(r) != params.n + 1 for r in rows):
-        raise DimensionError(f"basis rows must have n+1 = {params.n + 1} entries")
-    return subgroup_from_lift_rows(rows, params)
+    return subgroup_from_lift_rows(data["basis"], params)
 
 
 # ---------------------------------------------------------------------------

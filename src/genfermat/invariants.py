@@ -241,7 +241,9 @@ def linear_relations(model, gens):
     as an affine-linear relation among the pure-power generators x_i^p.
     Each equation is solved for its distinguished new coordinate; the last
     equation (whose new coordinate is the chart variable) is solved for
-    x_{d+1}^p instead."""
+    x_{d+1}^p instead.  If K fixes a chart variable x_i, then x_i itself is
+    a generator and x_i^p is not, so no such relation exists: that raises
+    ParameterError."""
     n, d, p = model.n, model.d, model.p
     pure_power_index = {}
     for i in range(n):  # variable i (0-based), pure power p*e_i
@@ -251,8 +253,9 @@ def linear_relations(model, gens):
                 pure_power_index[i] = gi
                 break
         else:
-            raise InconsistencyError(
-                f"missing pure-power generator for variable {i + 1}"
+            raise ParameterError(
+                f"x{i + 1}^{p} is not a generator (K fixes x{i + 1}), so the "
+                "equations give no affine-linear relation among the generators"
             )
     relations = []
     for row_idx, row in enumerate(model.equations):
@@ -307,18 +310,16 @@ def quotient_generator_reps(K: Subgroup):
     return reps
 
 
-def induced_action(K: Subgroup, gens, reps=None):
+def induced_action(K: Subgroup, gens):
     """Character table of the quotient group on the invariant generators:
     for each coset representative, the root-of-unity exponent it applies to
     each generator.  Independent of the representative choice because the
     generators are K-invariant."""
     params = K.params
     p = params.p
-    if reps is None:
-        reps = quotient_generator_reps(K)
     n = params.n
     table = []
-    for rep in reps:
+    for rep in quotient_generator_reps(K):
         chars = []
         for g in gens:
             if len(g) != n:
@@ -332,16 +333,13 @@ def induced_action(K: Subgroup, gens, reps=None):
 # Full quotient-model report
 # ---------------------------------------------------------------------------
 
-def quotient_model_report(K: Subgroup, model=None, max_side: int = 3,
-                          relation_degree_bound: int = None):
+def quotient_model_report(K: Subgroup, model=None):
     """JSON-ready quotient model: named generators, binomial relations,
     optional linear relations (needs the variety model), induced action."""
     action = action_from_subgroup(K)
     gens = hilbert_basis(action)
     names = [f"u{i + 1}" for i in range(len(gens))]
-    binomials = find_binomial_relations(
-        gens, degree_bound=relation_degree_bound, max_side=max_side
-    )
+    binomials = find_binomial_relations(gens)
     report = {
         "generators": [
             {"name": name, "exponents": list(g)} for name, g in zip(names, gens)

@@ -123,6 +123,9 @@ def test_parameter_error_exit_code(capsys):
     ("enumerate", "--d", "2", "--p", "257", "--n", "3", "--m", "2"),
     ("fiber", "--d", "2", "--p", "2", "--n", "4", "--seed", "11",
      "--point", "1,0.31,-0.57", "--cap-elements", "-1"),
+    # K fixes a chart variable: no affine-linear relation exists
+    ("invariants", "--d", "2", "--p", "2", "--n", "3", "--gens", "0,0,0,0"),
+    ("invariants", "--d", "2", "--p", "2", "--n", "3", "--gens", "1,0,0,0"),
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1,4 +1,5 @@
-"""Subgroup enumeration, normalized generation, orbits, and families."""
+"""Subgroup enumeration checked against an elementwise oracle, orbits, and
+families."""
 
 from itertools import combinations, permutations
 
@@ -14,11 +15,9 @@ from genfermat.enumeration import (
     classify_orbits,
     construct_family,
     enumerate_all,
-    enumerate_normalized,
     enumeration_report,
     gaussian_binomial,
     iter_rref_bases,
-    matrix_to_subgroup,
     necessary_bounds,
     subgroup_is_free_dual,
 )
@@ -105,6 +104,11 @@ def _elementwise_free_keys(task):
 @given(st.sampled_from(ORACLE_CELLS))
 @example((4, 2, 7, 5))
 @example((4, 5, 5, 4))
+# nonempty d=2 cells at p = 2, 3, 5
+@example((2, 2, 6, 3))
+@example((2, 3, 4, 3))
+@example((2, 5, 3, 2))
+@example((2, 5, 4, 3))
 def test_enumerate_all_matches_elementwise_filter(cell):
     task = EnumerationTask(*cell)
     brute = _elementwise_free_keys(task)
@@ -245,27 +249,6 @@ def lift_subspaces(draw):
 @example(subgroup_from_lift_rows([(3, 0, 250, 7, 1)], GroupParams(p=251, n=4, d=1)))
 def test_orbit_closure_matches_all_permutations(K):
     assert _orbit_keys(K) == _orbit_keys_by_all_permutations(K)
-
-
-def test_normalized_generation_matches_enumeration():
-    # normalized matrices pin the quotient images of the first m generators
-    # to the standard basis, so they cover each subgroup only up to a
-    # generator permutation: compare the orbit-canonical key sets
-    for p, n, m in ((2, 6, 3), (3, 4, 3), (5, 3, 2), (5, 4, 3)):
-        task = EnumerationTask(d=2, p=p, n=n, m=m)
-        subs_norm = [matrix_to_subgroup(mat, task) for mat in enumerate_normalized(task)]
-        subs_all = enumerate_all(task, prune=False)
-        keys_all = {subgroup_canonical_key(K) for K in subs_all}
-        for K in subs_norm:
-            assert subgroup_canonical_key(K) in keys_all
-        orbit_norm = {canonical_orbit_key(K) for K in subs_norm}
-        orbit_all = {canonical_orbit_key(K) for K in subs_all}
-        assert orbit_norm == orbit_all
-
-
-def test_normalized_generation_d2_only():
-    with pytest.raises(UnsupportedParameterError):
-        enumerate_normalized(EnumerationTask(d=3, p=2, n=6, m=3))
 
 
 def test_classification_single_orbit():

@@ -32,6 +32,7 @@ from genfermat.groups import (
     subgroup_elements,
     subgroup_from_generators,
     subgroup_from_json,
+    subgroup_from_lift_rows,
     subgroup_order,
     subgroup_to_json,
     trivial_subgroup,
@@ -180,6 +181,13 @@ def test_subgroup_generating_set_invariance(data):
         assert subgroup_contains(K, g)
 
 
+def test_canonical_key_rejects_entries_above_255():
+    K = subgroup_from_lift_rows([(0, 1, 256, 0)], GroupParams(p=257, n=3, d=1))
+    assert K.basis[1] == (0, 1, 256, 0)
+    with pytest.raises(UnsupportedParameterError):
+        subgroup_canonical_key(K)
+
+
 def test_subgroup_elements_count(p2n6):
     gens = [word((1, 2, 4), p2n6), word((1, 3, 5), p2n6)]
     K = subgroup_from_generators(gens, p2n6)
@@ -207,6 +215,12 @@ def test_subgroup_json_rejects_wrong_row_length():
     for row in ([0, 1, 0, 1, 1], [0, 1]):
         with pytest.raises(DimensionError):
             subgroup_from_json({"p": 2, "n": 3, "basis": [[1, 1, 1, 1], row]})
+
+
+def test_lift_rows_reject_wrong_row_length():
+    for row in ((0, 1, 0, 1, 1), (0, 1)):
+        with pytest.raises(DimensionError):
+            subgroup_from_lift_rows([row], GroupParams(p=2, n=3, d=1))
 
 
 # --- generator permutations ------------------------------------------------

@@ -266,7 +266,7 @@ def test_induced_action_signs():
 
 def test_quotient_model_report_shape():
     K, _ = reference_action()
-    report = quotient_model_report(K, max_side=4)
+    report = quotient_model_report(K)
     assert len(report["generators"]) == 13
     assert report["generators"][0]["name"] == "u1"
     assert report["binomial_relations"]

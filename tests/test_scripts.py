@@ -1,0 +1,46 @@
+"""The sweep scripts run against the package API and print one JSON object
+per line."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def test_sweep_free_subgroups():
+    rows = run_script("sweep_free_subgroups.py", "--d", "2", "--p", "2",
+                      "--max-n", "5", "--classify")
+    assert [(r["n"], r["m"]) for r in rows] == [
+        (n, m) for n in range(3, 6) for m in range(1, n + 1)
+    ]
+    for row in rows:
+        assert {"d", "p", "n", "m", "count"} <= set(row)
+        if "prunedBy" in row:
+            assert row["count"] == 0
+        else:
+            assert {"candidates", "elapsed_ms"} <= set(row)
+            assert sum(row.get("orbits", [])) == row["count"]
+    assert {(r["n"], r["m"]): r["count"] for r in rows}[(5, 4)] == 10
+
+
+def test_sweep_cohomology():
+    rows = run_script("sweep_cohomology.py", "--d", "2", "--max-p", "3", "--max-n", "4")
+    assert [(r["p"], r["n"]) for r in rows] == [(2, 3), (2, 4), (3, 3), (3, 4)]
+    keys = {"d", "p", "n", "r1", "pg", "kodaira", "calabiYau", "surfaceClass",
+            "hyperbolicity", "plurigenera"}
+    for row in rows:
+        assert set(row) == keys
+        assert len(row["plurigenera"]) == 3
