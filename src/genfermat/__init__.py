@@ -64,6 +64,7 @@ from .invariants import (  # noqa: F401
     action_from_subgroup,
     is_invariant,
     hilbert_basis,
+    BinomialRelations,
     find_binomial_relations,
     verify_relations,
     linear_relations,

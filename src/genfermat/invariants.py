@@ -6,16 +6,22 @@ every character row pairs to zero with its exponent vector mod p: the
 characters of its variables (the columns of the rows), taken with
 multiplicity, sum to zero.  The minimal monomial generators (the Hilbert
 basis of the invariant monoid up to a degree bound) are found by a walk over
-zero-sum-free sequences of characters.  Their binomial relations come from
-one pruned depth-first walk over generator multisets, keyed by packed-int
-exponent sums and emitted already sorted.  The affine-linear relations
-coming from the defining equations on the chart x_{n+1}=1, and the induced
-action of the quotient group, are computed here too.
+zero-sum-free sequences of characters packed into ints.  Their binomial
+relations come from one depth-first walk over generator multisets, keyed by
+packed-int exponent sums.  Every two members of one sum class form a
+relation, so `find_binomial_relations` returns a `BinomialRelations`
+sequence that stores the classes and reads the (a, b) pairs, in sorted
+order, off them on demand.  The affine-linear relations coming from the
+defining equations on the chart x_{n+1}=1, and the induced action of the
+quotient group, are computed here too.
 """
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, repeat
+from itertools import accumulate, combinations_with_replacement, repeat
+from operator import index
 
 from .errors import (
     DimensionError,
@@ -24,6 +30,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedParameterError,
 )
+from .enumeration import _Packed
 from .groups import (
     Subgroup,
     generator,
@@ -82,23 +89,23 @@ def hilbert_basis(action: DiagonalAction, degree_bound: int = None,
     (the empty one included).  Appending a variable of character c closes a
     generator when the sum becomes 0, cuts the branch when -c is in `reach`
     (every extension then has a proper invariant divisor), and otherwise
-    extends the prefix.  `cap` bounds the walk's steps: one per monomial
-    visited plus one per sub-multiset sum formed."""
+    extends the prefix.  Characters are packed into ints (`_Packed`), so a
+    sum is one addition and a carry fix-up, and `reach` is a set of ints.
+    `cap` bounds the walk's steps: one per monomial visited plus one per
+    sub-multiset sum formed."""
     if degree_bound is None:
         degree_bound = action.group_order()
     if degree_bound < 1:
         raise ParameterError(f"degree bound must be >= 1, got {degree_bound}")
     p, n = action.p, action.num_vars
-    chars = [tuple(row[j] for row in action.rows) for j in range(n)]
-    negs = [tuple(-x % p for x in c) for c in chars]
-    zero = (0,) * len(action.rows)
-
-    def add(x, y):
-        return tuple((a + b) % p for a, b in zip(x, y))
+    packing = _Packed(p, len(action.rows))
+    high, bias, sh = packing.high, packing.bias, packing.w - 1
+    chars = [packing.pack(row[j] for row in action.rows) for j in range(n)]
+    negs = [packing.pack(-row[j] for row in action.rows) for j in range(n)]
 
     gens = []
     steps = 0
-    stack = [((0,) * n, 0, zero, {zero})] if n else []  # (prefix, next variable, sum, reach)
+    stack = [((0,) * n, 0, 0, {0})] if n else []  # (prefix, next variable, sum, reach)
     while stack:
         mono, j, total, reach = stack.pop()
         if j + 1 < n:
@@ -111,8 +118,10 @@ def hilbert_basis(action: DiagonalAction, degree_bound: int = None,
             gens.append(grown)
         elif sum(grown) < degree_bound and negs[j] not in reach:
             steps += len(reach)
-            stack.append((grown, j, add(total, chars[j]),
-                          reach | {add(r, chars[j]) for r in reach}))
+            c = chars[j]
+            stack.append((grown, j, packing.add(total, c), reach | {
+                (s := r + c) - (((s + bias) & high) >> sh) * p for r in reach
+            }))
     return sorted(gens, key=lambda v: (sum(v), tuple(-x for x in v)))
 
 
@@ -157,57 +166,100 @@ def _multiset_exponent_sum(gens, multiset):
     return tuple(total)
 
 
-def find_binomial_relations(gens, degree_bound: int = None, max_side: int = 3):
+# Multisets the relation walk may visit: max_side=4 over the largest
+# quotient-model bases (57 generators) visits about 522 k.
+RELATION_WALK_CAP = 1_000_000
+
+
+class BinomialRelations(Sequence):
+    """The pairs (a, b) of `find_binomial_relations`, in sorted order, held
+    as sum classes.  Every pair of members of one class is a relation, so
+    only the classes are stored, with one entry (a, class, count) per
+    multiset a that has lexicographically larger partners, and the prefix
+    sums of the counts.  A class lists its members in descending order, so
+    a's partners are its first `count` members.  Indexing is one
+    bisection; a slice returns a list of pairs."""
+
+    __slots__ = ("_entries", "_ends")
+
+    def __init__(self, entries):
+        self._entries = entries
+        self._ends = list(accumulate(count for _, _, count in entries))
+
+    def __len__(self):
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        i = index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("relation index out of range")
+        j = bisect_right(self._ends, i)
+        a, group, count = self._entries[j]
+        return a, group[self._ends[j] - 1 - i]
+
+    def __iter__(self):
+        for a, group, count in self._entries:
+            yield from zip(repeat(a), group[count - 1::-1])
+
+
+def find_binomial_relations(gens, max_side: int = 3) -> BinomialRelations:
     """All pairs (a, b) of distinct generator multisets, each side of size
-    <= max_side and product degree <= bound (default: max_side times the
-    largest generator degree), with equal exponent-vector sums.  Sides are
-    sorted index tuples with a < b, and the list is sorted by (a, b).
+    <= max_side, with equal exponent-vector sums.  Sides are sorted index
+    tuples with a < b, and the sequence is in (a, b) order.
 
     Each generator is packed into one int, with one field per variable wide
     enough for a sum of max_side entries, so a multiset's sum is an int
     addition and its dictionary key.  The multisets are walked depth-first
     in reverse lexicographic order (larger children first, then the node),
-    with the running degree: a branch is cut once it passes the bound,
-    since degrees are >= 0.  A visited multiset is paired with the members
-    of its sum class visited before it, which are lexicographically larger,
-    so reversing the emitted list once leaves it sorted.  Exponent vectors
+    and each joins the class of its sum.  The members already in the class
+    when a multiset joins are its larger partners, so their count is
+    recorded with it, and reversing those records once puts them in
+    ascending order; no pair is built until it is read.  The walk raises
+    ResourceLimitError past RELATION_WALK_CAP multisets.  Exponent vectors
     must be non-negative and of equal length, or the packing is not
     injective."""
     if not gens or max_side < 1:
-        return []
+        return BinomialRelations([])
     num_vars = len(gens[0])
     if any(len(g) != num_vars for g in gens):
         raise DimensionError("generator exponent vectors differ in length")
     if any(x < 0 for g in gens for x in g):
         raise ParameterError("generator exponents must be non-negative")
-    degrees = [sum(g) for g in gens]
-    if degree_bound is None:
-        degree_bound = max_side * max(degrees)
+    n = len(gens)
     width = (max_side * max(max(g, default=0) for g in gens)).bit_length() + 1
     packed = [sum(x << (width * i) for i, x in enumerate(g)) for g in gens]
     by_sum = {}
-    relations = []
-    stack = [((), 0, 0, True)]  # (multiset, packed sum, degree, expand or visit)
+    entries = []
+    visited = 0
+    stack = [((), 0, True)]  # (multiset, packed sum, expand or visit)
     while stack:
-        node, key, degree, expand = stack.pop()
-        if not expand:
-            group = by_sum.get(key)
-            if group is None:
-                by_sum[key] = [node]
-            else:
-                relations.extend(zip(repeat(node), group))
-                group.append(node)
-            continue
-        grow = len(node) + 1 < max_side
-        for j in range(node[-1] if node else 0, len(gens)):
-            child_degree = degree + degrees[j]
-            if child_degree <= degree_bound:
+        node, key, expand = stack.pop()
+        if expand:
+            first = node[-1] if node else 0
+            visited += n - first
+            if visited > RELATION_WALK_CAP:
+                raise ResourceLimitError(
+                    f"relation walk passed cap {RELATION_WALK_CAP} multisets",
+                    attempted=visited)
+            grow = len(node) + 1 < max_side
+            for j in range(first, n):
                 child, child_key = node + (j,), key + packed[j]
-                stack.append((child, child_key, child_degree, False))
+                stack.append((child, child_key, False))
                 if grow:
-                    stack.append((child, child_key, child_degree, True))
-    relations.reverse()
-    return relations
+                    stack.append((child, child_key, True))
+            continue
+        group = by_sum.get(key)
+        if group is None:
+            by_sum[key] = [node]
+        else:
+            entries.append((node, group, len(group)))
+            group.append(node)
+    entries.reverse()
+    return BinomialRelations(entries)
 
 
 def verify_relations(gens, relations):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from genfermat.errors import (
 from genfermat.geometry import fermat_model, random_omega_sample, VarietyModel
 from genfermat.golden import EXAMPLE_GENERATORS, EXAMPLE_RELATIONS
 from genfermat.groups import GroupParams, rank_mod_p, subgroup_from_generators, word
+from genfermat import invariants
 from genfermat.invariants import (
     DiagonalAction,
     action_from_subgroup,
@@ -176,21 +178,22 @@ def test_binomial_relations_found_and_verified():
         verify_relations(gens, [((99,), (0,))])
 
 
-def binomial_relations_oracle(gens, degree_bound, max_side):
-    """Brute-force oracle for `find_binomial_relations`: group every
-    multiset of at most max_side generators within the degree bound by its
-    exponent sum, take all pairs (a, b) with a < b in each group, then
-    sort."""
-    if degree_bound is None:
-        degree_bound = max_side * max(sum(g) for g in gens)
+def relation_classes_oracle(gens, max_side):
+    """Every multiset of at most max_side generators, grouped by exponent
+    sum, each class sorted."""
     by_sum = {}
     for size in range(1, max_side + 1):
         for multiset in combinations_with_replacement(range(len(gens)), size):
             total = tuple(map(sum, zip(*(gens[i] for i in multiset))))
-            if sum(total) <= degree_bound:
-                by_sum.setdefault(total, []).append(multiset)
-    return sorted(pair for group in by_sum.values()
-                  for pair in combinations(sorted(group), 2))
+            by_sum.setdefault(total, []).append(multiset)
+    return [sorted(group) for group in by_sum.values()]
+
+
+def binomial_relations_oracle(gens, max_side):
+    """Brute-force oracle for `find_binomial_relations`: all pairs (a, b)
+    with a < b in each sum class, sorted."""
+    return sorted(pair for group in relation_classes_oracle(gens, max_side)
+                  for pair in combinations(group, 2))
 
 
 @given(st.data())
@@ -200,9 +203,36 @@ def test_binomial_relations_match_oracle(data):
     gens = data.draw(st.lists(st.tuples(*[st.integers(0, 3) for _ in range(nv)]),
                               min_size=1, max_size=12))
     max_side = data.draw(st.integers(1, 4))
-    bound = data.draw(st.one_of(st.none(), st.integers(1, 12)))
-    assert (find_binomial_relations(gens, degree_bound=bound, max_side=max_side)
-            == binomial_relations_oracle(gens, bound, max_side))
+    rels = find_binomial_relations(gens, max_side=max_side)
+    want = binomial_relations_oracle(gens, max_side)
+    assert list(rels) == want
+    assert len(rels) == len(want)
+    assert [rels[i] for i in range(len(want))] == want
+    assert [rels[i] for i in range(-len(want), 0)] == want
+    for i in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            rels[i]
+    for k in range(1, 6):
+        assert rels[::k] == want[::k]
+    a = data.draw(st.integers(-len(want) - 2, len(want) + 2))
+    b = data.draw(st.integers(-len(want) - 2, len(want) + 2))
+    assert rels[a:b] == want[a:b]
+
+
+@pytest.mark.parametrize("max_side", [4, 5])
+def test_binomial_relations_count_the_sum_classes(max_side):
+    rels = find_binomial_relations(EXAMPLE_GENERATORS, max_side=max_side)
+    classes = relation_classes_oracle(EXAMPLE_GENERATORS, max_side)
+    assert len(rels) == sum(comb(len(group), 2) for group in classes)
+    assert set(rels) == set(binomial_relations_oracle(EXAMPLE_GENERATORS, max_side))
+
+
+def test_binomial_relations_walk_cap(monkeypatch):
+    monkeypatch.setattr(invariants, "RELATION_WALK_CAP", 20)
+    assert list(find_binomial_relations([(1, 0), (0, 1), (1, 1)], max_side=2)) == [((0, 1), (2,))]
+    with pytest.raises(ResourceLimitError) as info:
+        find_binomial_relations(EXAMPLE_GENERATORS, max_side=2)
+    assert info.value.attempted > 20
 
 
 def test_binomial_relations_input_contract():
