@@ -14,19 +14,26 @@ alone fixes the column at its pivot, and the last column is minus the sum.
 The walk keeps layered spans L_0 <= ... <= L_{d-1} of the columns placed so
 far (L_r: every combination of at most r of them); a column in L_{d-1} is
 rejected together with every completion of its row prefix.  Freeness is
-cross-checked elsewhere against the element-wise predicate.
-Classification is up to the S_{n+1} of generator permutations, via orbit
-closure under its two standard generators; the canonical key of an orbit is
-the least subgroup key in that closure.  Lift bases in F_p^{n+1} are held
-as packed echelon rows with byte-aligned fields (p <= 255), so the key bytes
-are sliced straight out of the row ints.  Adjoining the all-ones vector to a
-kernel basis, and applying either generator, disturbs at most one row, so
-one rank-one insertion replaces a full elimination.
+cross-checked elsewhere against the element-wise predicate.  Each leaf's
+lift basis in F_p^{n+1} (the kernel rows and all-ones) is read off its
+columns and their running sum, again without elimination, as packed ints
+with byte-aligned fields (p <= 255) whose bytes are scattered straight into
+the basis rows and the canonical key.
+
+Classification is up to the S_{n+1} of generator permutations.
+`classify_orbits` closes each orbit under the two standard generators, on
+packed echelon rows that either generator disturbs in at most one row, so
+one rank-one insertion replaces a full elimination.  The canonical key of
+an orbit is its least subgroup key, which has the form [I | A];
+`canonical_orbit_key` finds it from the information sets of one member,
+with no closure, and the closure is its test oracle.
 """
 
 import time
 from dataclasses import dataclass, field
 from itertools import combinations, islice
+from math import factorial
+from operator import itemgetter
 
 from .errors import (
     InconsistencyError,
@@ -223,11 +230,12 @@ class _Packed:
 
 
 def _walk(row, hi, packed, vecs, spans, total, placed):
-    """Yield every way to place basis rows row, row-1, ..., 0 below the rows
-    already in `placed`.  Row i has s_i <= s_{i+1} = hi non-pivot positions
-    before its pivot, and its quotient column is any vector supported on
-    coordinates s_i..m-1.  A column in the top span is rejected together
-    with every completion of the prefix."""
+    """Place basis rows row, row-1, ..., 0 below the rows already in
+    `placed`, yielding the final running total (all-ones plus every column)
+    each time `placed` is complete.  Row i has s_i <= s_{i+1} = hi non-pivot
+    positions before its pivot, and its quotient column is any vector
+    supported on coordinates s_i..m-1.  A column in the top span is rejected
+    together with every completion of the prefix."""
     for s in range(hi + 1):
         for c in islice(vecs, packed.p ** (packed.m - s)):
             if c in spans[-1]:
@@ -238,8 +246,24 @@ def _walk(row, hi, packed, vecs, spans, total, placed):
                 yield from _walk(row - 1, s, packed, vecs, spans, packed.add(total, c), placed)
                 packed.shrink(spans, added)
             elif packed.closes(spans, total, c):
-                yield placed
+                yield packed.add(total, c)
             placed.pop()
+
+
+def _leaves(packed, k, d, placed):
+    """The walk over k basis rows with quotient columns in `packed`'s F_p^m:
+    yield its final running total at each leaf, with `placed` holding the
+    leaf's (s_i, c_i) pairs, row k-1 first.  With d, only d-free columns."""
+    spans = [set()]  # spans nothing, so the walk rejects nothing
+    if d is not None:
+        spans = [{0} for _ in range(d)]
+        for t in range(packed.m):
+            packed.grow(spans, 1 << (packed.w * t))
+    if k == 0:
+        if packed.ones not in spans[-1]:
+            yield packed.ones
+        return
+    yield from _walk(k - 1, packed.m, packed, packed.vectors(), spans, packed.ones, placed)
 
 
 def iter_rref_bases(n: int, k: int, p: int, d: int = None):
@@ -250,19 +274,12 @@ def iter_rref_bases(n: int, k: int, p: int, d: int = None):
     With pivots P and non-pivot positions Q = (Q_1..Q_m), the quotient
     column at Q_t is the unit vector e_t, the column at pivot P_i is minus
     row i restricted to Q, and the dependent column c_{n+1} is minus their
-    sum.  So each row fixes one column and the walk never eliminates."""
-    m = n - k
-    packed = _Packed(p, m)
-    spans = [set()]  # spans nothing, so the walk rejects nothing
-    if d is not None:
-        spans = [{0} for _ in range(d)]
-        for t in range(m):
-            packed.grow(spans, 1 << (packed.w * t))
-    if k == 0:
-        if packed.ones not in spans[-1]:
-            yield ()
-        return
-    for placed in _walk(k - 1, m, packed, packed.vectors(), spans, packed.ones, []):
+    sum.  So each row fixes one column and the walk never eliminates.
+    `enumerate_all` reads its lifts off the same walk's leaves; this is the
+    tests' brute-force enumerator (without d) and elimination oracle."""
+    packed = _Packed(p, n - k)
+    placed = []
+    for _ in _leaves(packed, k, d, placed):
         pivots = [s + k - 1 - j for j, (s, _) in enumerate(placed)]
         free = [q for q in range(n) if q not in pivots]
         rows = []
@@ -341,15 +358,75 @@ class _LiftRows:
         return self.head + b"|".join(row_bytes)
 
 
+class _Widened(dict):
+    """Vectors packed by `narrow` mapped to the same vectors packed by
+    `wide`, each converted on first lookup (a leaf meets few of the p^m)."""
+
+    def __init__(self, narrow, wide):
+        super().__init__()
+        self.narrow, self.wide = narrow, wide
+
+    def __missing__(self, v):
+        x = self[v] = self.wide.pack(self.narrow.unpack(v))
+        return x
+
+
+def _lift_layout(pattern, n: int, step: int):
+    """Where each entry of a lift basis sits in the leaf buffer of
+    `enumerate_all`, for the pivot pattern (t0, s_{k-1}, ..., s_0).  The
+    buffer holds the k kernel rows (row k-1 first) and then u, each as m+1
+    fields of `step` bytes (coordinates Q_0..Q_{m-1}, then n), and then
+    b"\\0\\1|".  Returns one itemgetter per basis row, in pivot order, and one
+    for the canonical key's body (the rows joined by "|")."""
+    t0, *ss = pattern
+    k = len(ss)
+    pivots = [s + k - 1 - j for j, s in enumerate(ss)]
+    free = [q for q in range(n) if q not in pivots]
+    size = step * (len(free) + 1)
+    zero = (k + 1) * size
+    place = {q: step * t for t, q in enumerate(free)}
+    place[n] = step * len(free)
+    rows = [
+        [zero + 1 if x == lead else zero if x in pivots else size * seg + place[x]
+         for x in range(n + 1)]
+        for lead, seg in sorted(zip(pivots + [free[t0]], range(k + 1)))
+    ]
+    body = [i for row in rows for i in row + [zero + 2]][:-1]
+    return [itemgetter(*row) for row in rows], itemgetter(*body)
+
+
+def _lift_lead(wide, t: int):
+    """What a leaf of `enumerate_all` needs from t, its running total with
+    a 1 in field m: the lowest nonzero field t0, the bytes of u = t scaled
+    to 1 there, and the correction fix[j] = f*u for a row whose field t0
+    holds j = p - f (an unreduced -f)."""
+    p, w = wide.p, wide.w
+    t0 = ((t & -t).bit_length() - 1) // w
+    inv = pow((t >> (w * t0)) & ((1 << w) - 1), -1, p)
+    mults = wide.multiples(t)
+    fix = [mults[j * (p - inv) % p] for j in range(p + 1)]
+    return t0, mults[inv].to_bytes(w // 8 * wide.m, "little"), fix
+
+
 def enumerate_all(task: EnumerationTask, prune: bool = True):
     """All of F(d;p,n,m), sorted by canonical key.  Walks the
     (n-m)-dimensional subspaces of F_p^n under the subspace cap, pruning
-    every row prefix whose quotient columns already fail freeness, and lifts
-    each kernel basis to F_p^{n+1} by one rank-one insertion of all-ones."""
+    every row prefix whose quotient columns already fail freeness, and
+    builds each lift basis in F_p^{n+1} at the walk's leaf, from the
+    columns c_i and the running total = all-ones + sum c_i:
+    - all-ones reduced against the kernel rows (pivot entry 1, -c_i on the
+      non-pivot coordinates Q, 0 at coordinate n) is total on Q and 1 at n;
+      total is nonzero, as c_{n+1} = -total is free, so its lowest nonzero
+      field t0 gives the lead Q_{t0}, and u is that vector scaled to 1 there;
+    - kernel row i becomes -c_i + c_{i,t0} u, zero at Q_{t0}.
+    These rows are reduced echelon once sorted by pivot, so a leaf only does
+    field arithmetic on packed ints with byte-aligned fields (`_Packed`, one
+    field per coordinate of Q and one for n) and scatters their bytes."""
     if prune and not necessary_bounds(task.d, task.p, task.n, task.m).possibly_nonempty:
         return []
-    k = task.n - task.m
-    count = gaussian_binomial(task.n, k, task.p)
+    n, p, m = task.n, task.p, task.m
+    k = n - m
+    count = gaussian_binomial(n, k, p)
     if count > task.cap_subspaces:
         raise ResourceLimitError(
             f"{count} candidate subspaces exceed cap {task.cap_subspaces}",
@@ -357,20 +434,37 @@ def enumerate_all(task: EnumerationTask, prune: bool = True):
         )
     params = task.params
     lift = _LiftRows(params)
-    packed = lift.packed
-    ones = packed.ones * (task.p + 1)
+    narrow = _Packed(p, m)
+    wide = _Packed(p, m + 1, lift.packed.w)
+    w, size, mask = wide.w, lift.step * (m + 1), (1 << wide.w) - 1
+    high, bias, sh = wide.high, wide.bias, w - 1
+    to_wide = _Widened(narrow, wide)
+    at_n = 1 << (w * m)
+    neg = (wide.ones - at_n) * p  # neg - c is -c with fields in [1, p]
+    leads = {}
+    layouts = {}
     found = {}
-    pack = lift.pack
-    for basis in iter_rref_bases(task.n, k, task.p, task.d):
-        rows = [pack(row) for row in basis]
-        total = 0
-        for r in rows:
-            total = packed.add(total, r)
-        # all-ones reduced against the rows is all-ones minus their sum (each
-        # pivot entry is 1); (p+1)*ones - total has fields in [2, p+1], which
-        # the add fix-up reduces
-        row_bytes = lift.row_bytes(packed.insert(rows, packed.add(ones - total, 0)))
-        found[lift.key(row_bytes)] = Subgroup(tuple(map(tuple, row_bytes)), params)
+    placed = []
+    for total in _leaves(narrow, k, task.d, placed):
+        lead = leads.get(total)
+        if lead is None:
+            lead = leads[total] = _lift_lead(wide, to_wide[total] + at_n)
+        t0, u, fix = lead
+        shift = w * t0
+        rows = []
+        for _, c in placed:
+            r = neg - to_wide[c]
+            r += fix[(r >> shift) & mask]
+            rows.append((r - (((r + bias) & high) >> sh) * p).to_bytes(size, "little"))
+        rows.append(u)
+        rows.append(b"\0\1|")
+        pattern = (t0, *[s for s, _ in placed])
+        layout = layouts.get(pattern)
+        if layout is None:
+            layout = layouts[pattern] = _lift_layout(pattern, n, lift.step)
+        buf = b"".join(rows)
+        basis = tuple([g(buf) for g in layout[0]])
+        found[lift.head + bytes(layout[1](buf))] = Subgroup(basis, params)
     return [found[key] for key in sorted(found)]
 
 
@@ -427,8 +521,12 @@ def classify_orbits(subgroups):
         raise InconsistencyError("duplicate subgroups in classification input")
     unseen = set(by_key)
     orbits = []
-    while unseen:
-        members = _orbit_keys(by_key[min(unseen)])
+    for key in sorted(by_key):
+        if key not in unseen:
+            continue
+        # every smaller key lies in an earlier orbit, so key is this
+        # orbit's least member
+        members = _orbit_keys(by_key[key])
         if not members <= unseen:
             raise InconsistencyError(
                 "orbit leaves the input set; input was not closed under "
@@ -437,7 +535,7 @@ def classify_orbits(subgroups):
         unseen -= members
         orbits.append(
             OrbitClass(
-                representative=by_key[min(members)],
+                representative=by_key[key],
                 orbit_size=len(members),
                 members=tuple(sorted(members)),
             )
@@ -445,17 +543,96 @@ def classify_orbits(subgroups):
     return orbits
 
 
+def _information_set_forms(K: Subgroup):
+    """For every information set I of K's lift basis M (the k+1 columns
+    where M is invertible), the rows of M_I^{-1} M restricted to the other
+    columns, as tuples.  Rows are packed ints (`_Packed`), so each pivot
+    step is a table of multiples and one add per row."""
+    p, size = K.params.p, K.params.n + 1
+    packed = _Packed(p, size)
+    w, mask = packed.w, (1 << packed.w) - 1
+    basis = [packed.pack(row) for row in K.basis]
+    r = len(basis)
+    for info in combinations(range(size), r):
+        rows = list(basis)
+        for l, c in enumerate(info):
+            shift = w * c
+            for i in range(l, r):
+                a = (rows[i] >> shift) & mask
+                if a:
+                    break
+            else:
+                break  # M_I is singular
+            inv = pow(a, -1, p)
+            mults = packed.multiples(rows[i])
+            rows[i] = rows[l]
+            rows[l] = mults[inv]
+            for i in range(r):
+                f = (rows[i] >> shift) & mask
+                if f and i != l:
+                    rows[i] = packed.add(rows[i], mults[(p - f) * inv % p])
+        else:
+            rest = [w * j for j in range(size) if j not in info]
+            yield [tuple([(row >> t) & mask for t in rest]) for row in rows]
+
+
+def _least_orbit_form(K: Subgroup):
+    """The least canonical key over the S_{n+1}-orbit of K, and the order
+    of K's stabilizer in S_{n+1}.
+
+    A least key has its pivots at 0..k (moving a pivot left past a
+    non-pivot coordinate, whose column is nonzero as all-ones lies in the
+    lift, lowers the first row where they differ), so it is [I | A] with A
+    = M_I^{-1} M on the other columns, for an ordered information set I.
+    Reordering I permutes the rows of A, and for a fixed row order the
+    row-major least A has its columns sorted as tuples.  The search picks
+    the rows one at a time, keeping only the states whose prefix of A is
+    least so far; identical rows are taken once, with a weight.  Each least
+    leaf (ordered I, column order) is one permutation onto the least key,
+    so the weights times prod(multiplicity of equal columns)! sum to
+    |Stab|, and the orbit has (n+1)!/|Stab| members."""
+    states = [(rows, tuple(range(len(rows))), [()] * len(rows[0]), 1)
+              for rows in _information_set_forms(K)]
+    prefix = []
+    for _ in range(len(K.basis)):
+        best, survivors = None, []
+        for rows, remaining, cols, weight in states:
+            alike = {}
+            for i in remaining:
+                alike.setdefault(rows[i], []).append(i)
+            for vals, same in alike.items():
+                new = [c + (v,) for c, v in zip(cols, vals)]
+                seq = [c[-1] for c in sorted(new)]
+                if best is None or seq < best:
+                    best, survivors = seq, []
+                if seq == best:
+                    rest = tuple(j for j in remaining if j != same[0])
+                    survivors.append((rows, rest, new, weight * len(same)))
+        prefix.append(best)
+        states = survivors
+    stab = 0
+    for _, _, cols, weight in states:
+        for col in set(cols):
+            weight *= factorial(cols.count(col))
+        stab += weight
+    r = len(prefix)
+    head = subgroup_canonical_key(Subgroup((), K.params))
+    key = head + b"|".join(
+        bytes([int(j == l) for j in range(r)] + seq) for l, seq in enumerate(prefix)
+    )
+    return key, stab
+
+
 def canonical_orbit_key(K: Subgroup) -> bytes:
     """Least canonical key over the S_{n+1}-orbit of K: equal for two
-    subgroups iff they differ by a generator permutation.  The orbit is
-    found by the same closure as `classify_orbits`, a few int operations per
-    member on packed echelon rows (`_orbit_keys`), so this costs the orbit
-    size, not (n+1)! eliminations.  An orbit can still have (n+1)! members,
-    so n+1 is capped at 8."""
+    subgroups iff they differ by a generator permutation.  Found from the
+    information sets of K's lift basis (`_least_orbit_form`), at most
+    C(n+1, k+1) eliminations of k+1 packed rows and a pruned search over
+    their row orders, with no orbit closure.  n+1 is capped at 8."""
     n = K.params.n
     if n + 1 > 8:
         raise ResourceLimitError(f"full canonicalization limited to n+1 <= 8, got {n + 1}")
-    return min(_orbit_keys(K))
+    return _least_orbit_form(K)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .enumeration import (
 )
 from .fixed_points import acts_freely_subgroup, free_rank_bound, has_fixed_points, level_sets
 from .geometry import (
-    POINT_TOL,
     RESIDUAL_TOL,
     ProjectivePoint,
     VarietyModel,
@@ -312,7 +311,7 @@ def check_fiber_geometry():
     # the deck group Z_2^4 maps a point of the last fiber into that fiber
     for exps in product(range(2), repeat=4):
         img = apply_element(exps + (0,), pts[0], 2)
-        if not any(projectively_close(img, q, tol=POINT_TOL) for q in pts):
+        if not any(projectively_close(img, q) for q in pts):
             return False, f"deck element {exps} leaves the fiber"
     return True, f"{fibers} fibers of 16 points each on the variety; deck orbit stays in the fiber"
 

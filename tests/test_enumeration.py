@@ -2,6 +2,7 @@
 families."""
 
 from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from genfermat.enumeration import (
     EnumerationTask,
     _columns_free,
+    _least_orbit_form,
     _orbit_keys,
     canonical_orbit_key,
     classify_orbits,
@@ -204,11 +206,15 @@ def test_dual_matches_elementwise_on_sweep():
 
 # Cells whose lift rows need two-byte packed fields (128 <= p <= 255).
 WIDE_CELLS = [(1, 131, 2, 1), (1, 251, 2, 1)]
+# Edge cells of the leaf lift: m = n (no kernel rows, the lift is all-ones)
+# and d = 1 (only the zero column is rejected).
+EDGE_CELLS = [(2, 2, 4, 4), (3, 3, 3, 3), (1, 131, 2, 2), (1, 2, 4, 2), (1, 3, 3, 1),
+              (1, 5, 3, 2), (1, 7, 2, 1)]
 
 
 def test_enumerate_all_lifts_match_elimination():
-    # the rank-one insertion of all-ones gives the basis a full elimination does
-    for d, p, n, m in SWEEP + WIDE_CELLS:
+    # the lift built at the walk's leaf is the basis a full elimination gives
+    for d, p, n, m in SWEEP + WIDE_CELLS + EDGE_CELLS:
         task = EnumerationTask(d=d, p=p, n=n, m=m)
         eliminated = sorted(
             (subgroup_from_lift_rows([row + (0,) for row in basis], task.params)
@@ -249,6 +255,25 @@ def lift_subspaces(draw):
 @example(subgroup_from_lift_rows([(3, 0, 250, 7, 1)], GroupParams(p=251, n=4, d=1)))
 def test_orbit_closure_matches_all_permutations(K):
     assert _orbit_keys(K) == _orbit_keys_by_all_permutations(K)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lift_subspaces())
+@example(full_group(GroupParams(p=2, n=1, d=1)))
+@example(trivial_subgroup(GroupParams(p=3, n=1, d=1)))
+@example(full_group(GroupParams(p=3, n=7, d=1)))
+@example(trivial_subgroup(GroupParams(p=5, n=7, d=1)))
+@example(subgroup_from_lift_rows([(1, 0, 1, 0, 0, 1, 1, 0)], GroupParams(p=2, n=7, d=1)))
+# 128 <= p <= 255
+@example(subgroup_from_lift_rows([(0, 1, 5, 130), (0, 0, 2, 7)], GroupParams(p=131, n=3, d=1)))
+@example(subgroup_from_lift_rows([(3, 0, 250, 7, 1)], GroupParams(p=251, n=4, d=1)))
+def test_canonical_orbit_key_matches_closure_minimum(K):
+    # the information-set search finds the closure's least key, and its tie
+    # count is the stabilizer order
+    orbit = _orbit_keys(K)
+    key, stab = _least_orbit_form(K)
+    assert key == min(orbit) == canonical_orbit_key(K)
+    assert factorial(K.params.n + 1) // stab == len(orbit)
 
 
 def test_classification_single_orbit():
