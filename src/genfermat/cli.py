@@ -1,8 +1,9 @@
 """Command-line front end.
 
-One subcommand per pipeline, canonical JSON reports (sorted keys) on
-stdout, diagnostics on stderr.  Exit codes: 0 success, 2 domain error,
-3 resource-cap error, 4 reproduction-check failure.
+One subcommand per pipeline, each report one canonical JSON line (sorted
+keys) on stdout (`fiber` prints one JSON line per point), diagnostics on
+stderr.  Exit codes: 0 success, 2 domain error, 3 resource-cap error,
+4 reproduction-check failure.
 """
 
 import argparse
@@ -33,17 +34,13 @@ from .reproduce import run_reproduce
 SCHEMA_VERSION = 1
 
 
-def _emit(payload, fmt="json"):
+def _emit(payload):
     report = {
         "schemaVersion": SCHEMA_VERSION,
         "toolVersion": __version__,
         **payload,
     }
-    if fmt == "json":
-        print(json.dumps(report, sort_keys=True))
-    else:
-        for key, value in sorted(report.items()):
-            print(f"{key}: {value}")
+    print(json.dumps(report, sort_keys=True))
     return 0
 
 
@@ -78,7 +75,7 @@ def cmd_fixed_points(args):
     params = GroupParams(p=args.p, n=args.n, d=args.d)
     x = elem_normalize(_parse_int_list(args.element), params)
     return _emit({"task": {"p": args.p, "n": args.n, "d": args.d},
-                  "results": strata_report(x, args.d)}, args.format)
+                  "results": strata_report(x, args.d)})
 
 
 def cmd_enumerate(args):
@@ -87,7 +84,7 @@ def cmd_enumerate(args):
         cap_subspaces=args.cap_subspaces,
     )
     payload = enumeration_report(task, classify=args.classify)
-    return _emit(payload, args.format)
+    return _emit(payload)
 
 
 def cmd_cohomology(args):
@@ -100,21 +97,20 @@ def cmd_cohomology(args):
     if args.m is not None:
         results["plurigenus"] = {"m": args.m, "value": plurigenus(args.d, args.p, args.n, args.m)}
     results["hyperbolicity"] = hyperbolicity_verdict(args.d, args.p, args.n).to_json()
-    return _emit({"task": {"d": args.d, "p": args.p, "n": args.n}, "results": results},
-                 args.format)
+    return _emit({"task": {"d": args.d, "p": args.p, "n": args.n}, "results": results})
 
 
 def cmd_hyperbolicity(args):
     v = hyperbolicity_verdict(args.d, args.p, args.n)
     return _emit({"task": {"d": args.d, "p": args.p, "n": args.n},
-                  "results": v.to_json()}, args.format)
+                  "results": v.to_json()})
 
 
 def cmd_arrangement(args):
     arr = _load_arrangement(args)
     results = {"generalPosition": in_general_position(arr) if args.lam else True,
                "arrangement": arrangement_to_json(arr)}
-    return _emit({"results": results}, args.format)
+    return _emit({"results": results})
 
 
 def cmd_fiber(args):
@@ -142,8 +138,7 @@ def cmd_invariants(args):
     elif args.n == args.d + 1:
         model = fermat_model(p=args.p, d=args.d)
     results = quotient_model_report(K, model=model)
-    return _emit({"task": {"p": args.p, "n": args.n, "d": args.d}, "results": results},
-                 args.format)
+    return _emit({"task": {"p": args.p, "n": args.n, "d": args.d}, "results": results})
 
 
 def cmd_reproduce_paper(args):
@@ -154,7 +149,7 @@ def cmd_reproduce_paper(args):
         print(f"[{status}] {r['check']}: {r['detail']} ({r['elapsed_ms']} ms)",
               file=sys.stderr)
     _emit({"results": {"checks": results, "allPassed": all_ok},
-           "elapsed_ms": round((time.perf_counter() - t0) * 1000, 1)}, args.format)
+           "elapsed_ms": round((time.perf_counter() - t0) * 1000, 1)})
     if not all_ok:
         raise VerificationError("one or more reproduction checks failed")
     return 0
@@ -177,7 +172,6 @@ def build_parser():
             sp.add_argument("--n", type=int, required=True)
         if m:
             sp.add_argument("--m", type=int, required=True)
-        sp.add_argument("--format", choices=("json", "text"), default="json")
 
     sp = sub.add_parser("fixed-points", help="level sets and fixed strata of one element")
     add_common(sp, d=True, p=True, n=True)
@@ -228,7 +222,6 @@ def build_parser():
 
     sp = sub.add_parser("reproduce-paper", help="run every golden reproduction check")
     sp.add_argument("--filter", default=None, help="only run checks whose name contains this")
-    sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.set_defaults(func=cmd_reproduce_paper)
 
     return parser
@@ -237,6 +230,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse takes the value "--" (as in --element=--) for its separator and
+    # stores [] in place of the option's one string
+    for name, value in vars(args).items():
+        if value == []:
+            parser.error(f"argument {name}: expected one value, not '--'")
     try:
         return args.func(args)
     except ParameterError as exc:

@@ -14,6 +14,8 @@ from .errors import InconsistencyError, ParameterError, ResourceLimitError
 
 RATIONAL_SURFACES = {(2, 3), (3, 3), (2, 4)}
 K3_SURFACES = {(4, 3), (2, 5)}
+# Highest degree `h0_oracle` counts monomials for.
+ORACLE_DEGREE_CAP = 60
 
 
 def canonical_twist(d: int, p: int, n: int) -> int:
@@ -47,14 +49,14 @@ def h0_twist(d: int, p: int, n: int, r: int) -> int:
     return sum(c * comb(r - s + d, d) for s, c in enumerate(counts) if c)
 
 
-def h0_oracle(d: int, p: int, n: int, r: int, cap: int = 60) -> int:
+def h0_oracle(d: int, p: int, n: int, r: int) -> int:
     """Independent count by direct monomial enumeration: monomials of total
     degree r in n+1 variables whose last n-d exponents are at most p-1.
-    No binomial formulas."""
+    No binomial formulas.  r may be at most ORACLE_DEGREE_CAP."""
     if r < 0:
         return 0
-    if r > cap:
-        raise ResourceLimitError(f"oracle degree {r} exceeds cap {cap}", attempted=r)
+    if r > ORACLE_DEGREE_CAP:
+        raise ResourceLimitError(f"oracle degree {r} exceeds cap {ORACLE_DEGREE_CAP}", attempted=r)
     bounds = [None] * (d + 1) + [p - 1] * (n - d)
 
     @lru_cache(maxsize=None)

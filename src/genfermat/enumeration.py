@@ -14,11 +14,12 @@ alone fixes the column at its pivot, and the last column is minus the sum.
 The walk keeps layered spans L_0 <= ... <= L_{d-1} of the columns placed so
 far (L_r: every combination of at most r of them); a column in L_{d-1} is
 rejected together with every completion of its row prefix.  Freeness is
-cross-checked elsewhere against the element-wise predicate.  Each leaf's
-lift basis in F_p^{n+1} (the kernel rows and all-ones) is read off its
-columns and their running sum, again without elimination, as packed ints
-with byte-aligned fields (p <= 255) whose bytes are scattered straight into
-the basis rows and the canonical key.
+cross-checked elsewhere against the element-wise predicate.  The walk packs
+its columns into ints with the lift's byte-aligned fields (p <= 255), so
+each leaf's lift basis in F_p^{n+1} (the kernel rows and all-ones) is read
+off its columns and their running sum without elimination or repacking,
+and its bytes are scattered straight into the basis rows and the canonical
+key.
 
 Classification is up to the S_{n+1} of generator permutations.
 `classify_orbits` closes each orbit under the two standard generators, on
@@ -97,14 +98,15 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
 
 def necessary_bounds(d: int, p: int, n: int, m: int) -> Verdict:
     """Sound pruning: Empty verdicts are proven; PossiblyNonempty promises
-    nothing."""
+    nothing.  The rank bound needs d >= 2: 1-freeness only asks for nonzero
+    quotient columns, which may repeat."""
     if not is_prime(p):
         raise UnsupportedParameterError(f"requires p prime, got {p}")
     if m < d:
         return Verdict(False, f"quotient rank m={m} below dimension d={d}")
     if m == d == 2 and p < 4:
         return Verdict(False, f"m=d=2 requires p >= 4, got p={p}")
-    if not free_rank_bound(p, m, n):
+    if d >= 2 and not free_rank_bound(p, m, n):
         return Verdict(
             False, f"n+1={n + 1} exceeds (p^m-1)/(p-1)={(p ** m - 1) // (p - 1)}"
         )
@@ -358,19 +360,6 @@ class _LiftRows:
         return self.head + b"|".join(row_bytes)
 
 
-class _Widened(dict):
-    """Vectors packed by `narrow` mapped to the same vectors packed by
-    `wide`, each converted on first lookup (a leaf meets few of the p^m)."""
-
-    def __init__(self, narrow, wide):
-        super().__init__()
-        self.narrow, self.wide = narrow, wide
-
-    def __missing__(self, v):
-        x = self[v] = self.wide.pack(self.narrow.unpack(v))
-        return x
-
-
 def _lift_layout(pattern, n: int, step: int):
     """Where each entry of a lift basis sits in the leaf buffer of
     `enumerate_all`, for the pivot pattern (t0, s_{k-1}, ..., s_0).  The
@@ -421,7 +410,9 @@ def enumerate_all(task: EnumerationTask, prune: bool = True):
     - kernel row i becomes -c_i + c_{i,t0} u, zero at Q_{t0}.
     These rows are reduced echelon once sorted by pivot, so a leaf only does
     field arithmetic on packed ints with byte-aligned fields (`_Packed`, one
-    field per coordinate of Q and one for n) and scatters their bytes."""
+    field per coordinate of Q and one for n) and scatters their bytes.  The
+    walk packs its columns with the same fields, so every column and total
+    is already in that layout, with the field of n zero."""
     if prune and not necessary_bounds(task.d, task.p, task.n, task.m).possibly_nonempty:
         return []
     n, p, m = task.n, task.p, task.m
@@ -434,26 +425,25 @@ def enumerate_all(task: EnumerationTask, prune: bool = True):
         )
     params = task.params
     lift = _LiftRows(params)
-    narrow = _Packed(p, m)
-    wide = _Packed(p, m + 1, lift.packed.w)
-    w, size, mask = wide.w, lift.step * (m + 1), (1 << wide.w) - 1
+    w = lift.packed.w
+    wide = _Packed(p, m + 1, w)
+    size, mask = lift.step * (m + 1), (1 << w) - 1
     high, bias, sh = wide.high, wide.bias, w - 1
-    to_wide = _Widened(narrow, wide)
     at_n = 1 << (w * m)
     neg = (wide.ones - at_n) * p  # neg - c is -c with fields in [1, p]
     leads = {}
     layouts = {}
     found = {}
     placed = []
-    for total in _leaves(narrow, k, task.d, placed):
+    for total in _leaves(_Packed(p, m, w), k, task.d, placed):
         lead = leads.get(total)
         if lead is None:
-            lead = leads[total] = _lift_lead(wide, to_wide[total] + at_n)
+            lead = leads[total] = _lift_lead(wide, total + at_n)
         t0, u, fix = lead
         shift = w * t0
         rows = []
         for _, c in placed:
-            r = neg - to_wide[c]
+            r = neg - c
             r += fix[(r >> shift) & mask]
             rows.append((r - (((r + bias) & high) >> sh) * p).to_bytes(size, "little"))
         rows.append(u)

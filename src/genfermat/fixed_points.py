@@ -81,9 +81,10 @@ def element_acts_freely(x: GroupElement, d: int) -> bool:
     return not has_fixed_points(x, d)
 
 
-def acts_freely_subgroup(K: Subgroup, d: int, cap: int = 2 ** 20) -> bool:
-    """Exhaustive check: every nonidentity element of K acts freely."""
-    for x in subgroup_elements(K, cap=cap):
+def acts_freely_subgroup(K: Subgroup, d: int) -> bool:
+    """Exhaustive check: every nonidentity element of K acts freely.  K may
+    have at most `groups.ELEMENT_CAP` elements."""
+    for x in subgroup_elements(K):
         if x.is_identity():
             continue
         if has_fixed_points(x, d):

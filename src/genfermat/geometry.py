@@ -245,15 +245,17 @@ def normalize_coords(coords):
     return tuple(c / scale for c in coords)
 
 
-def projectively_close(a: ProjectivePoint, b: ProjectivePoint, tol: float = POINT_TOL) -> bool:
+def projectively_close(a: ProjectivePoint, b: ProjectivePoint) -> bool:
+    """Whether b, scaled to agree with a at a's largest coordinate, is
+    within POINT_TOL of a in every coordinate."""
     xa, xb = a.coords, b.coords
     if len(xa) != len(xb):
         return False
     i = max(range(len(xa)), key=lambda k: abs(xa[k]))
-    if abs(xb[i]) < tol:
+    if abs(xb[i]) < POINT_TOL:
         return False
     s = xa[i] / xb[i]
-    return all(abs(x - s * y) <= tol for x, y in zip(xa, xb))
+    return all(abs(x - s * y) <= POINT_TOL for x, y in zip(xa, xb))
 
 
 def residual(model: VarietyModel, x: ProjectivePoint) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd, lcm
 
-from .errors import DimensionError, ParameterError, UnsupportedParameterError
+from .errors import DimensionError, ParameterError, ResourceLimitError, UnsupportedParameterError
 
 
 def is_prime(p: int) -> bool:
@@ -104,16 +104,14 @@ def generator(j: int, params: GroupParams) -> GroupElement:
     return elem_normalize(raw, params)
 
 
-def word(indices, params: GroupParams, exps=None) -> GroupElement:
+def word(indices, params: GroupParams) -> GroupElement:
     """Product of canonical generators: word([1,2,4], params) = phi1*phi2*phi4.
-    Optional parallel list of exponents."""
+    A repeated index multiplies its generator in again."""
     raw = [0] * (params.n + 1)
-    if exps is None:
-        exps = [1] * len(indices)
-    for j, e in zip(indices, exps):
+    for j in indices:
         if not (1 <= j <= params.n + 1):
             raise ParameterError(f"generator index {j} out of range")
-        raw[j - 1] = (raw[j - 1] + e) % params.p
+        raw[j - 1] += 1
     return elem_normalize(raw, params)
 
 
@@ -284,17 +282,20 @@ def subgroup_element_basis(K: Subgroup):
     return rref_mod_p(normalized, p)
 
 
-def subgroup_elements(K: Subgroup, cap: int = 2 ** 20):
-    """All elements of K as normalized GroupElements.  |K| = p^dim(K) must
-    not exceed cap."""
-    from .errors import ResourceLimitError
+# Largest subgroup order that `subgroup_elements` lists, and so that
+# `fixed_points.acts_freely_subgroup` scans.
+ELEMENT_CAP = 2 ** 20
 
+
+def subgroup_elements(K: Subgroup):
+    """All elements of K as normalized GroupElements.  |K| = p^dim(K) must
+    not exceed ELEMENT_CAP."""
     p = K.params.p
     basis = subgroup_element_basis(K)
     count = p ** len(basis)
-    if count > cap:
+    if count > ELEMENT_CAP:
         raise ResourceLimitError(
-            f"subgroup has {count} elements, above cap {cap}", attempted=count
+            f"subgroup has {count} elements, above cap {ELEMENT_CAP}", attempted=count
         )
     n1 = K.params.n + 1
     out = []
@@ -325,8 +326,9 @@ def subgroup_to_json(K: Subgroup):
     return {"p": K.params.p, "n": K.params.n, "basis": [list(r) for r in K.basis]}
 
 
-def subgroup_from_json(data, d: int = None) -> Subgroup:
-    params = GroupParams(p=data["p"], n=data["n"], d=d if d is not None else 1)
+def subgroup_from_json(data) -> Subgroup:
+    """Inverse of `subgroup_to_json`, which stores no d (so d = 1)."""
+    params = GroupParams(p=data["p"], n=data["n"], d=1)
     return subgroup_from_lift_rows(data["basis"], params)
 
 

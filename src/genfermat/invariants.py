@@ -5,15 +5,15 @@ i by the p-th root of unity raised to row[i].  A monomial is invariant iff
 every character row pairs to zero with its exponent vector mod p: the
 characters of its variables (the columns of the rows), taken with
 multiplicity, sum to zero.  The minimal monomial generators (the Hilbert
-basis of the invariant monoid up to a degree bound) are found by a walk over
-zero-sum-free sequences of characters packed into ints.  Their binomial
-relations come from one depth-first walk over generator multisets, keyed by
-packed-int exponent sums.  Every two members of one sum class form a
-relation, so `find_binomial_relations` returns a `BinomialRelations`
-sequence that stores the classes and reads the (a, b) pairs, in sorted
-order, off them on demand.  The affine-linear relations coming from the
-defining equations on the chart x_{n+1}=1, and the induced action of the
-quotient group, are computed here too.
+basis of the invariant monoid) are found by a walk over zero-sum-free
+sequences of characters packed into ints.  Their binomial relations come
+from one depth-first walk over generator multisets, keyed by packed-int
+exponent sums.  Every two members of one sum class form a relation, so
+`find_binomial_relations` returns a `BinomialRelations` sequence that
+stores the classes and reads the (a, b) pairs, in sorted order, off them on
+demand.  The affine-linear relations coming from the defining equations on
+the chart x_{n+1}=1, and the induced action of the quotient group, are
+computed here too.
 """
 
 from bisect import bisect_right
@@ -78,25 +78,26 @@ def is_invariant(exponents, action: DiagonalAction) -> bool:
     )
 
 
-def hilbert_basis(action: DiagonalAction, degree_bound: int = None,
-                  cap: int = 1_000_000):
-    """Minimal generators of the invariant-monomial monoid up to the degree
-    bound (default: the group order, which suffices for diagonal actions),
-    sorted by (degree, x1 > x2 > ...).  They are the minimal zero-sum
-    sequences of variable characters, found by a depth-first walk over
-    monomials in non-decreasing variable order.  The walk carries the
-    running sum and `reach`, the sums of all sub-multisets of the prefix
-    (the empty one included).  Appending a variable of character c closes a
-    generator when the sum becomes 0, cuts the branch when -c is in `reach`
-    (every extension then has a proper invariant divisor), and otherwise
-    extends the prefix.  Characters are packed into ints (`_Packed`), so a
-    sum is one addition and a carry fix-up, and `reach` is a set of ints.
-    `cap` bounds the walk's steps: one per monomial visited plus one per
-    sub-multiset sum formed."""
-    if degree_bound is None:
-        degree_bound = action.group_order()
-    if degree_bound < 1:
-        raise ParameterError(f"degree bound must be >= 1, got {degree_bound}")
+# Steps the Hilbert basis walk may take: the largest frozen quotient-model
+# subgroup takes 7,789.
+HILBERT_WALK_CAP = 1_000_000
+
+
+def hilbert_basis(action: DiagonalAction):
+    """Minimal generators of the invariant-monomial monoid, sorted by
+    (degree, x1 > x2 > ...).  They are the minimal zero-sum sequences of
+    variable characters, found by a depth-first walk over monomials in
+    non-decreasing variable order.  The walk carries the running sum and
+    `reach`, the sums of all sub-multisets of the prefix (the empty one
+    included).  Appending a variable of character c closes a generator when
+    the sum becomes 0, cuts the branch when -c is in `reach` (every
+    extension then has a proper invariant divisor), and otherwise extends
+    the prefix.  Every prefix is zero-sum free, so it has fewer than
+    D(G) <= |G| terms (the Davenport constant of the character group G),
+    and the walk needs no degree bound of its own.  Characters are packed
+    into ints (`_Packed`), so a sum is one addition and a carry fix-up, and
+    `reach` is a set of ints.  HILBERT_WALK_CAP bounds the walk's steps: one
+    per monomial visited plus one per sub-multiset sum formed."""
     p, n = action.p, action.num_vars
     packing = _Packed(p, len(action.rows))
     high, bias, sh = packing.high, packing.bias, packing.w - 1
@@ -111,12 +112,14 @@ def hilbert_basis(action: DiagonalAction, degree_bound: int = None,
         if j + 1 < n:
             stack.append((mono, j + 1, total, reach))
         steps += 1
-        if steps > cap:
-            raise ResourceLimitError(f"Hilbert basis walk passed cap {cap}", attempted=steps)
+        if steps > HILBERT_WALK_CAP:
+            raise ResourceLimitError(
+                f"Hilbert basis walk passed cap {HILBERT_WALK_CAP}", attempted=steps
+            )
         grown = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
         if negs[j] == total:
             gens.append(grown)
-        elif sum(grown) < degree_bound and negs[j] not in reach:
+        elif negs[j] not in reach:
             steps += len(reach)
             c = chars[j]
             stack.append((grown, j, packing.add(total, c), reach | {

@@ -1,8 +1,13 @@
 """End-to-end command-line behavior: exit codes and JSON shape."""
 
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from genfermat import reproduce
 from genfermat.cli import main
@@ -198,6 +203,16 @@ def test_enumerate_classify_flag_removed():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--d", "2", "--p", "2", "--n", "6", "--m", "3", "--format", "json"),
+    ("reproduce-paper", "--filter", "rank_bound", "--format", "json"),
+])
+def test_format_flag_removed(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
 def test_enumerate_reports_pruning_reason(capsys):
     code, out, _ = run(capsys, "enumerate", "--d", "2", "--p", "2", "--n", "7", "--m", "3")
     assert code == 0
@@ -231,3 +246,111 @@ def test_failed_reproduction_exits_4(capsys, monkeypatch):
     assert "[FAIL] fails: wrong value" in err
     assert "[FAIL] raises: exception: ZeroDivisionError(" in err
     assert "Traceback" not in err
+
+
+MISSING_LAMBDA = str(Path(__file__).parent / "no-such-lambda.json")
+SMALL = st.integers(-1, 7)
+PRIMES = st.sampled_from((-1, 0, 1, 2, 3, 4, 5, 7, 257))
+# comma-separated fields: integers, and strings no parser should accept
+FIELDS = st.lists(
+    st.one_of(st.integers(-3, 300).map(str),
+              st.sampled_from(("", "x", "1.5", " ", "--", "0x1", "2j"))),
+    max_size=9,
+).map(",".join)
+ROWS = st.one_of(FIELDS, st.lists(FIELDS, max_size=4).map(";".join))
+COORDS = st.sampled_from(("1", "0", "0.31", "-0.57", "2j", "1+1j", "-1e300", "abc", ""))
+
+
+def _joined(strategy, size, sep=","):
+    return st.lists(strategy, min_size=size, max_size=size).map(sep.join)
+
+
+def _opt(flag, value):
+    return [] if value is None else [f"{flag}={value}"]
+
+
+def _maybe(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+def _top_n(cmd, p):
+    """Largest n drawn with p > 1.  An invariants report lists every
+    binomial relation, so there p^n stays at most 256."""
+    if cmd != "invariants":
+        return 7
+    return max(k for k in range(8) if p ** k <= 256)
+
+
+@st.composite
+def computing_argv(draw):
+    """argv for one of the eight computing subcommands.  Half the draws
+    are cells of the paper's domain (1 <= d < n <= 7, p prime, lists of
+    the right length, a seeded arrangement); the other half draw small or
+    invalid integers, malformed lists and points, and a missing --lambda
+    file.  Caps are drawn in both, negative ones included, and bound the
+    work of a valid cell."""
+    cmd = draw(st.sampled_from((
+        "fixed-points", "enumerate", "classify", "cohomology", "hyperbolicity",
+        "arrangement", "fiber", "invariants",
+    )))
+    if draw(st.booleans()):
+        p = draw(st.sampled_from((2, 3, 5, 7)))
+        d = draw(st.integers(1, min(3, _top_n(cmd, p) - 1)))
+        n = draw(st.integers(d + 1, _top_n(cmd, p)))
+        m = draw(st.integers(0, n))
+        entries = st.integers(0, p - 1).map(str)
+        element = draw(_joined(entries, n + 1))
+        gens = draw(st.integers(1, 3).flatmap(
+            lambda k: _joined(_joined(entries, n + 1), k, ";")))
+        point = draw(_joined(st.sampled_from(("1", "0.31", "-0.57", "0.7", "2j")), d + 1))
+        seed, lam = draw(st.integers(0, 50)), None
+    else:
+        d, n, p, m = draw(SMALL), draw(SMALL), draw(PRIMES), draw(SMALL)
+        n = min(n, _top_n(cmd, p)) if p > 1 else n
+        element, gens = draw(FIELDS), draw(ROWS)
+        point = draw(st.integers(0, 5).flatmap(lambda k: _joined(COORDS, k)))
+        seed = draw(_maybe(st.integers(-2, 50)))
+        lam = draw(_maybe(st.just(MISSING_LAMBDA)))
+    argv = [cmd, f"--d={d}", f"--n={n}"]
+    if cmd != "arrangement":
+        argv.append(f"--p={p}")
+    if cmd == "fixed-points":
+        argv.append(f"--element={element}")
+    elif cmd in ("enumerate", "classify"):
+        argv += [f"--m={m}", f"--cap-subspaces={draw(st.integers(-2, 3000))}"]
+    elif cmd == "cohomology":
+        argv += _opt("--r", draw(_maybe(st.integers(-3, 40))))
+        argv += _opt("--m", draw(_maybe(st.integers(-3, 6))))
+    elif cmd in ("arrangement", "fiber", "invariants"):
+        argv += _opt("--lambda", lam)
+        if cmd != "invariants":
+            argv += _opt("--seed", seed)
+    if cmd == "fiber":
+        argv += [f"--point={point}", f"--cap-elements={draw(st.integers(-2, 4096))}"]
+    if cmd == "invariants":
+        argv.append(f"--gens={gens}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(computing_argv())
+# argparse stores [] for an option whose value is "--"
+@example(["fixed-points", "--d=2", "--n=3", "--p=3", "--element=--"])
+@example(["arrangement", "--d=2", "--n=5", "--lambda=--"])
+def test_cli_input_contract(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    lines = out.getvalue().splitlines()
+    if code != 0:
+        assert lines == []
+    elif argv[0] == "fiber":
+        for line in lines:
+            json.loads(line)
+    else:
+        assert len(lines) == 1
+        assert lines[0] == json.dumps(json.loads(lines[0]), sort_keys=True)

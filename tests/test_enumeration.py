@@ -163,6 +163,7 @@ def test_necessary_bounds_prune():
     assert not necessary_bounds(2, 2, 5, 1).possibly_nonempty  # m < d
     assert not necessary_bounds(2, 2, 5, 2).possibly_nonempty  # m=d=2, p<4
     assert not necessary_bounds(2, 2, 7, 3).possibly_nonempty  # rank bound
+    assert necessary_bounds(1, 2, 4, 2).possibly_nonempty  # no rank bound at d = 1
     assert necessary_bounds(2, 2, 6, 3).possibly_nonempty
 
 
@@ -172,8 +173,19 @@ def test_subspace_cap():
         enumerate_all(task, prune=False)
 
 
+# Cells whose lift rows need two-byte packed fields (128 <= p <= 255).
+WIDE_CELLS = [(1, 131, 2, 1), (1, 251, 2, 1)]
+# Edge cells of the leaf lift: m = n (no kernel rows, the lift is all-ones)
+# and d = 1 (only the zero column is rejected).
+EDGE_CELLS = [(2, 2, 4, 4), (3, 3, 3, 3), (1, 131, 2, 2), (1, 2, 4, 2), (1, 3, 3, 1),
+              (1, 5, 3, 2), (1, 7, 2, 1)]
+
+
 def test_pruned_matches_unpruned():
-    for d, p, n, m in ((2, 2, 5, 3), (2, 3, 4, 2), (2, 2, 6, 3)):
+    # at d = 1 the columns only need to be nonzero and may repeat, so the
+    # rank bound n+1 <= (p^m-1)/(p-1) must not prune those cells
+    d1_cells = [cell for cell in WIDE_CELLS + EDGE_CELLS if cell[0] == 1]
+    for d, p, n, m in [(2, 2, 5, 3), (2, 3, 4, 2), (2, 2, 6, 3)] + d1_cells:
         task = EnumerationTask(d=d, p=p, n=n, m=m)
         a = [subgroup_canonical_key(K) for K in enumerate_all(task, prune=True)]
         b = [subgroup_canonical_key(K) for K in enumerate_all(task, prune=False)]
@@ -202,14 +214,6 @@ def test_dual_matches_elementwise_on_sweep():
                 rejected_checked += 1
             if rejected_checked >= 20:
                 break
-
-
-# Cells whose lift rows need two-byte packed fields (128 <= p <= 255).
-WIDE_CELLS = [(1, 131, 2, 1), (1, 251, 2, 1)]
-# Edge cells of the leaf lift: m = n (no kernel rows, the lift is all-ones)
-# and d = 1 (only the zero column is rejected).
-EDGE_CELLS = [(2, 2, 4, 4), (3, 3, 3, 3), (1, 131, 2, 2), (1, 2, 4, 2), (1, 3, 3, 1),
-              (1, 5, 3, 2), (1, 7, 2, 1)]
 
 
 def test_enumerate_all_lifts_match_elimination():

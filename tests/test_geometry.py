@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from genfermat.errors import DimensionError, ParameterError, ResourceLimitError
 from genfermat.geometry import (
     Arrangement,
-    POINT_TOL,
     ProjectivePoint,
     RESIDUAL_TOL,
     VarietyModel,
@@ -122,7 +121,7 @@ def test_fiber_size_and_residuals():
     assert len(pts) == 2 ** 4
     for pt in pts:
         assert residual(model, pt) <= RESIDUAL_TOL
-        assert projectively_close(pi_project(pt, 2, 2), y, tol=1e-7)
+        assert projectively_close(pi_project(pt, 2, 2), y)
 
 
 def test_fiber_is_deck_orbit():
@@ -137,7 +136,7 @@ def test_fiber_is_deck_orbit():
     for exps in product(range(2), repeat=4):
         orbit.append(apply_element(exps + (0,), x0, 2))
     for img in orbit:
-        assert any(projectively_close(img, q, tol=POINT_TOL) for q in pts)
+        assert any(projectively_close(img, q) for q in pts)
 
 
 def test_fiber_rejects_branch_point():

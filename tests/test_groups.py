@@ -207,7 +207,7 @@ def test_element_basis_matches_order(p2n6):
 
 def test_subgroup_json_roundtrip(p2n6):
     K = subgroup_from_generators([word((1, 2, 4), p2n6)], p2n6)
-    K2 = subgroup_from_json(subgroup_to_json(K), d=p2n6.d)
+    K2 = subgroup_from_json(subgroup_to_json(K))
     assert K2.basis == K.basis
 
 

@@ -1,10 +1,21 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+every defaulted parameter in the package is set by some caller."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "tests", "scripts")
+CALLERS = ("src", "bench", "scripts")
+
+# Defaulted parameters that no caller outside the tests sets, each kept on
+# purpose ("function.parameter", methods as "Class.method.parameter").
+ALLOWED = {
+    "find_binomial_relations.max_side":
+        "the tests need max_side=4 to reach the golden 4-element-side relations",
+    "iter_rref_bases.d": "iter_rref_bases is a test-only oracle",
+    "main.argv": "the entry point: None reads sys.argv",
+}
 
 
 def unused_imports(path):
@@ -36,3 +47,116 @@ def test_no_unused_imports():
         for line, name in unused_imports(path)
     ]
     assert found == []
+
+
+def _functions(tree):
+    """(qualified name, call name, def node, bound) for every function in
+    the tree.  A method's call name is its own, an `__init__`'s is its
+    class's, and `bound` says whether the first parameter is self or cls."""
+    out = []
+
+    def visit(node, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".", child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                name = cls if cls and child.name == "__init__" else child.name
+                out.append((prefix + child.name, name, child, bool(cls) and not static))
+                visit(child, prefix + child.name + ".", None)
+            else:
+                visit(child, prefix, cls)
+
+    visit(tree, "", None)
+    return out
+
+
+def _defaulted(fn):
+    """{parameter: index among the positional parameters, or None for a
+    keyword-only one} of fn's defaulted parameters."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    out = {a.arg: i for i, a in enumerate(positional)
+           if i >= len(positional) - len(args.defaults)}
+    out.update({a.arg: None for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None})
+    return out
+
+
+def _passed(call, param, index):
+    """The expression `call` passes for param by keyword or by position,
+    True when a ** argument may pass it, or None when the call leaves the
+    default.  Positions after a * argument are unknown and not counted."""
+    for kw in call.keywords:
+        if kw.arg == param:
+            return kw.value
+        if kw.arg is None:
+            return True
+    if index is not None:
+        for i, arg in enumerate(call.args):
+            if isinstance(arg, ast.Starred):
+                break
+            if i == index:
+                return arg
+    return None
+
+
+def _calls(node, quals, own):
+    """(call, own) for every call under node, where own maps each defaulted
+    parameter of the innermost enclosing function to its qualified name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls(child, quals,
+                              {a: f"{quals[child]}.{a}" for a in _defaulted(child)})
+            continue
+        if isinstance(child, ast.Call):
+            yield child, own
+        yield from _calls(child, quals, own)
+
+
+def unset_defaults():
+    """Qualified "function.parameter" names of the package's defaulted
+    parameters that no call under CALLERS sets.  A call that only forwards
+    its own caller's defaulted parameter sets it only if that one is set."""
+    params = {}  # call name -> [(qualified name, {param: index})]
+    for path in sorted((ROOT / "src" / "genfermat").rglob("*.py")):
+        for qual, name, fn, bound in _functions(ast.parse(path.read_text())):
+            defaulted = _defaulted(fn)
+            if bound:
+                defaulted = {a: None if i is None else i - 1 for a, i in defaulted.items()}
+            if defaulted:
+                params.setdefault(name, []).append((qual, defaulted))
+    calls = []
+    for top in CALLERS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            quals = {fn: qual for qual, _, fn, _ in _functions(tree)}
+            calls.extend(_calls(tree, quals, {}))
+    unset = {f"{qual}.{a}" for targets in params.values()
+             for qual, defaulted in targets for a in defaulted}
+    changed = True
+    while changed:
+        changed = False
+        for call, own in calls:
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            for qual, defaulted in params.get(name, ()):
+                for a, i in defaulted.items():
+                    key = f"{qual}.{a}"
+                    if key not in unset:
+                        continue
+                    value = _passed(call, a, i)
+                    if value is None or (isinstance(value, ast.Name)
+                                         and own.get(value.id) in unset):
+                        continue
+                    unset.discard(key)
+                    changed = True
+    return sorted(unset)
+
+
+def test_every_default_has_a_caller():
+    unset = unset_defaults()
+    assert [key for key in unset if key not in ALLOWED] == []
+    # an allowance whose parameter is gone or now has a caller is stale
+    assert sorted(set(ALLOWED) - set(unset)) == []

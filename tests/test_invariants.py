@@ -119,7 +119,7 @@ def minimal_invariants_oracle(act, degree_bound):
 def davenport_bound(act):
     """D(Z_p^r) = r(p-1)+1 (Olson): no minimal zero-sum sequence, so no
     minimal invariant monomial, is longer.  Keeps the oracle's scan small
-    where the default bound |G| would not."""
+    where a scan up to |G| would not."""
     return min(act.group_order(), rank_mod_p(act.rows, act.p) * (act.p - 1) + 1)
 
 
@@ -133,26 +133,26 @@ def test_hilbert_basis_matches_oracle(data):
                  min_size=1, max_size=3)
     )
     act = DiagonalAction(p=p, num_vars=nv, rows=tuple(rows))
-    bound = data.draw(st.one_of(st.none(), st.integers(1, 7)))
-    want = minimal_invariants_oracle(act, davenport_bound(act) if bound is None else bound)
-    assert hilbert_basis(act, degree_bound=bound) == want
+    assert hilbert_basis(act) == minimal_invariants_oracle(act, davenport_bound(act))
 
 
 def test_hilbert_basis_beyond_the_monomial_scan():
-    # |G| = 125 in 6 variables: comb(131, 6) monomials up to the default
-    # bound, far above the default cap, but few zero-sum-free prefixes.
+    # |G| = 125 in 6 variables: comb(131, 6) monomials up to degree |G|,
+    # far above the walk's cap, but few zero-sum-free prefixes.
     act = DiagonalAction(p=5, num_vars=6, rows=((1, 0, 0, 1, 2, 3),
                                                 (0, 1, 0, 1, 3, 2),
                                                 (0, 0, 1, 1, 4, 4)))
     assert hilbert_basis(act) == minimal_invariants_oracle(act, davenport_bound(act))
 
 
-def test_hilbert_basis_cap():
+def test_hilbert_basis_cap(monkeypatch):
     act = DiagonalAction(p=3, num_vars=2, rows=((1, 2),))
+    monkeypatch.setattr(invariants, "HILBERT_WALK_CAP", 3)
     with pytest.raises(ResourceLimitError) as info:
-        hilbert_basis(act, cap=3)
+        hilbert_basis(act)
     assert info.value.attempted > 3
-    assert len(hilbert_basis(act, cap=100)) == 3
+    monkeypatch.setattr(invariants, "HILBERT_WALK_CAP", 100)
+    assert len(hilbert_basis(act)) == 3
 
 
 def test_hilbert_basis_deeper_than_recursion_limit():
