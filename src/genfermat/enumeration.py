@@ -31,6 +31,7 @@ with no closure, and the closure is its test oracle.
 """
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 from math import factorial
@@ -255,16 +256,18 @@ def _walk(row, hi, packed, vecs, spans, total, placed):
 def _leaves(packed, k, d, placed):
     """The walk over k basis rows with quotient columns in `packed`'s F_p^m:
     yield its final running total at each leaf, with `placed` holding the
-    leaf's (s_i, c_i) pairs, row k-1 first.  With d, only d-free columns."""
+    leaf's (s_i, c_i) pairs, row k-1 first.  With d, only d-free columns.
+    At k = 0 the columns are the m unit vectors and -all-ones, which has
+    support m, so it lies in the span of at most d-1 of them iff m < d."""
+    if k == 0:
+        if d is None or packed.m >= d:
+            yield packed.ones
+        return
     spans = [set()]  # spans nothing, so the walk rejects nothing
     if d is not None:
         spans = [{0} for _ in range(d)]
         for t in range(packed.m):
             packed.grow(spans, 1 << (packed.w * t))
-    if k == 0:
-        if packed.ones not in spans[-1]:
-            yield packed.ones
-        return
     yield from _walk(k - 1, packed.m, packed, packed.vectors(), spans, packed.ones, placed)
 
 
@@ -412,7 +415,9 @@ def enumerate_all(task: EnumerationTask, prune: bool = True):
     field arithmetic on packed ints with byte-aligned fields (`_Packed`, one
     field per coordinate of Q and one for n) and scatters their bytes.  The
     walk packs its columns with the same fields, so every column and total
-    is already in that layout, with the field of n zero."""
+    is already in that layout, with the field of n zero.  The bases of one
+    call share one tuple per distinct row, and the canonical keys are kept
+    only until the final sort."""
     if prune and not necessary_bounds(task.d, task.p, task.n, task.m).possibly_nonempty:
         return []
     n, p, m = task.n, task.p, task.m
@@ -433,6 +438,8 @@ def enumerate_all(task: EnumerationTask, prune: bool = True):
     neg = (wide.ones - at_n) * p  # neg - c is -c with fields in [1, p]
     leads = {}
     layouts = {}
+    shared = {}  # one tuple per distinct basis row, which every basis reuses
+    share = shared.setdefault
     found = {}
     placed = []
     for total in _leaves(_Packed(p, m, w), k, task.d, placed):
@@ -453,8 +460,8 @@ def enumerate_all(task: EnumerationTask, prune: bool = True):
         if layout is None:
             layout = layouts[pattern] = _lift_layout(pattern, n, lift.step)
         buf = b"".join(rows)
-        basis = tuple([g(buf) for g in layout[0]])
-        found[lift.head + bytes(layout[1](buf))] = Subgroup(basis, params)
+        basis = [g(buf) for g in layout[0]]
+        found[lift.head + bytes(layout[1](buf))] = Subgroup(tuple(map(share, basis, basis)), params)
     return [found[key] for key in sorted(found)]
 
 
@@ -504,30 +511,31 @@ def _orbit_keys(K: Subgroup):
 
 def classify_orbits(subgroups):
     """Partition into orbits under the full permutation group of the
-    canonical generators (see `_orbit_keys`).  Raises if an orbit leaves
-    the input set."""
+    canonical generators (see `_orbit_keys`).  Members are the key objects
+    of the input index, found by bisection, not the closure's fresh copies.
+    Raises if an orbit leaves the input set."""
     by_key = {subgroup_canonical_key(K): K for K in subgroups}
     if len(by_key) != len(subgroups):
         raise InconsistencyError("duplicate subgroups in classification input")
-    unseen = set(by_key)
+    keys = sorted(by_key)
     orbits = []
-    for key in sorted(by_key):
-        if key not in unseen:
-            continue
+    for key in keys:
+        K = by_key.get(key)
+        if K is None:
+            continue  # taken by an earlier orbit
         # every smaller key lies in an earlier orbit, so key is this
         # orbit's least member
-        members = _orbit_keys(by_key[key])
-        if not members <= unseen:
+        members = sorted(_orbit_keys(K))
+        if any(by_key.pop(k, None) is None for k in members):
             raise InconsistencyError(
                 "orbit leaves the input set; input was not closed under "
                 "generator permutations"
             )
-        unseen -= members
         orbits.append(
             OrbitClass(
-                representative=by_key[key],
+                representative=K,
                 orbit_size=len(members),
-                members=tuple(sorted(members)),
+                members=tuple([keys[bisect_left(keys, k)] for k in members]),
             )
         )
     return orbits

@@ -57,7 +57,7 @@ class GroupParams:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     """An element of H in normal form: exponent vector of length n+1 with
     last entry 0."""
@@ -214,11 +214,12 @@ def nullspace_mod_p(rows, p, ncols=None):
 # Subgroups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subgroup:
     """A subgroup K of H, stored as the unique RREF basis of its lift to
     F_p^{n+1}.  The lift always contains the all-ones vector, so
-    rank(basis) = dim(K) + 1."""
+    rank(basis) = dim(K) + 1.  Slotted, as `enumerate_all` keeps every
+    kernel of a cell, and subgroups may share row tuples."""
 
     basis: tuple  # tuple of tuples, RREF rows over F_p of length n+1
     params: GroupParams

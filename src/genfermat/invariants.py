@@ -95,8 +95,11 @@ def hilbert_basis(action: DiagonalAction):
     the prefix.  Every prefix is zero-sum free, so it has fewer than
     D(G) <= |G| terms (the Davenport constant of the character group G),
     and the walk needs no degree bound of its own.  Characters are packed
-    into ints (`_Packed`), so a sum is one addition and a carry fix-up, and
-    `reach` is a set of ints.  HILBERT_WALK_CAP bounds the walk's steps: one
+    into ints (`_Packed`), so a sum is one addition and a carry fix-up.
+    `reach` is one set of ints for the whole walk: an extension adds the
+    new sums and records them on the path, and backtracking removes them,
+    as `_Packed.grow`/`shrink` do, so the walk holds about twice the
+    deepest prefix's `reach`.  HILBERT_WALK_CAP bounds the walk's steps: one
     per monomial visited plus one per sub-multiset sum formed."""
     p, n = action.p, action.num_vars
     packing = _Packed(p, len(action.rows))
@@ -106,25 +109,41 @@ def hilbert_basis(action: DiagonalAction):
 
     gens = []
     steps = 0
-    stack = [((0,) * n, 0, 0, {0})] if n else []  # (prefix, next variable, sum, reach)
-    while stack:
-        mono, j, total, reach = stack.pop()
-        if j + 1 < n:
-            stack.append((mono, j + 1, total, reach))
+    mono = [0] * n  # the prefix's exponents
+    reach = {0}
+    path = []  # per extension: (variable, sum before it, sums it added)
+    j, total = 0, 0  # next variable to append, and the prefix's sum
+    while True:
+        if j == n:  # every extension of this prefix is done: backtrack
+            if not path:
+                break
+            j, total, added = path.pop()
+            reach -= added
+            mono[j] -= 1
+            j += 1
+            continue
         steps += 1
         if steps > HILBERT_WALK_CAP:
             raise ResourceLimitError(
                 f"Hilbert basis walk passed cap {HILBERT_WALK_CAP}", attempted=steps
             )
-        grown = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
         if negs[j] == total:
-            gens.append(grown)
+            mono[j] += 1
+            gens.append(tuple(mono))
+            mono[j] -= 1
         elif negs[j] not in reach:
             steps += len(reach)
             c = chars[j]
-            stack.append((grown, j, packing.add(total, c), reach | {
-                (s := r + c) - (((s + bias) & high) >> sh) * p for r in reach
-            }))
+            added = {
+                s for r in reach
+                if (s := (t := r + c) - (((t + bias) & high) >> sh) * p) not in reach
+            }
+            reach |= added
+            path.append((j, total, added))
+            mono[j] += 1
+            total = packing.add(total, c)
+            continue  # the prefix's own extensions start at j
+        j += 1
     return sorted(gens, key=lambda v: (sum(v), tuple(-x for x in v)))
 
 
@@ -207,6 +226,14 @@ class BinomialRelations(Sequence):
     def __iter__(self):
         for a, group, count in self._entries:
             yield from zip(repeat(a), group[count - 1::-1])
+
+    @property
+    def classes(self) -> tuple:
+        """The sum classes with at least two members, each once, as a tuple
+        of its multisets in ascending order; the classes are ordered by
+        least member, which is the first entry that holds the class."""
+        groups = {id(group): group for _, group, _ in self._entries}
+        return tuple(tuple(reversed(group)) for group in groups.values())
 
 
 def find_binomial_relations(gens, max_side: int = 3) -> BinomialRelations:
@@ -390,7 +417,11 @@ def induced_action(K: Subgroup, gens):
 
 def quotient_model_report(K: Subgroup, model=None):
     """JSON-ready quotient model: named generators, binomial relations,
-    optional linear relations (needs the variety model), induced action."""
+    optional linear relations (needs the variety model), induced action.
+    The binomial relations are reported as their count and their sum
+    classes, each a list of monomials such as "u1*u4" that are all equal, so
+    every two members of a class form one relation, and the report grows
+    with the relation walk, not with the number of pairs."""
     action = action_from_subgroup(K)
     gens = hilbert_basis(action)
     names = [f"u{i + 1}" for i in range(len(gens))]
@@ -399,9 +430,13 @@ def quotient_model_report(K: Subgroup, model=None):
         "generators": [
             {"name": name, "exponents": list(g)} for name, g in zip(names, gens)
         ],
-        "binomial_relations": [
-            [[names[i] for i in a], [names[i] for i in b]] for a, b in binomials
-        ],
+        "binomial_relations": {
+            "count": len(binomials),
+            "classes": [
+                ["*".join([names[i] for i in side]) for side in group]
+                for group in binomials.classes
+            ],
+        },
         "action": {},
     }
     if model is not None:

@@ -4,12 +4,13 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from genfermat import reproduce
+from genfermat import invariants, reproduce
 from genfermat.cli import main
 from genfermat.geometry import arrangement_to_json, random_omega_sample
 
@@ -99,6 +100,22 @@ def test_invariants_command(capsys):
     assert code == 0
     data = json.loads(out)
     assert len(data["results"]["generators"]) == 13
+    relations = data["results"]["binomial_relations"]
+    # each sum class is listed once; every two of its members are a relation
+    assert relations["count"] == sum(len(c) * (len(c) - 1) // 2 for c in relations["classes"])
+    assert relations["count"] > 0
+    assert all(len(c) >= 2 for c in relations["classes"])
+
+
+def test_invariants_report_grows_with_the_walk(capsys):
+    # 71 generators and 3,438,067 relations, which lie in 1,763 sum classes
+    code, out, _ = run(
+        capsys, "invariants", "--d", "1", "--n", "4", "--p", "7", "--gens", "5,2,5,5,1",
+    )
+    assert code == 0
+    relations = json.loads(out)["results"]["binomial_relations"]
+    assert relations["count"] == 3_438_067
+    assert len(out) < 4_000_000
 
 
 def test_invariants_rejects_short_generator_rows(capsys):
@@ -259,6 +276,10 @@ FIELDS = st.lists(
 ).map(",".join)
 ROWS = st.one_of(FIELDS, st.lists(FIELDS, max_size=4).map(";".join))
 COORDS = st.sampled_from(("1", "0", "0.31", "-0.57", "2j", "1+1j", "-1e300", "abc", ""))
+# invariants has no cap flag; its Hilbert basis and relation walks are
+# capped at this many steps during the fuzz, so one draw takes at most
+# about 0.1 s where the default caps allow seconds
+FUZZ_WALK_CAP = 50_000
 
 
 def _joined(strategy, size, sep=","):
@@ -273,14 +294,6 @@ def _maybe(strategy):
     return st.one_of(st.none(), strategy)
 
 
-def _top_n(cmd, p):
-    """Largest n drawn with p > 1.  An invariants report lists every
-    binomial relation, so there p^n stays at most 256."""
-    if cmd != "invariants":
-        return 7
-    return max(k for k in range(8) if p ** k <= 256)
-
-
 @st.composite
 def computing_argv(draw):
     """argv for one of the eight computing subcommands.  Half the draws
@@ -288,15 +301,15 @@ def computing_argv(draw):
     the right length, a seeded arrangement); the other half draw small or
     invalid integers, malformed lists and points, and a missing --lambda
     file.  Caps are drawn in both, negative ones included, and bound the
-    work of a valid cell."""
+    work of a valid cell (FUZZ_WALK_CAP does so for invariants)."""
     cmd = draw(st.sampled_from((
         "fixed-points", "enumerate", "classify", "cohomology", "hyperbolicity",
         "arrangement", "fiber", "invariants",
     )))
     if draw(st.booleans()):
         p = draw(st.sampled_from((2, 3, 5, 7)))
-        d = draw(st.integers(1, min(3, _top_n(cmd, p) - 1)))
-        n = draw(st.integers(d + 1, _top_n(cmd, p)))
+        d = draw(st.integers(1, 3))
+        n = draw(st.integers(d + 1, 7))
         m = draw(st.integers(0, n))
         entries = st.integers(0, p - 1).map(str)
         element = draw(_joined(entries, n + 1))
@@ -306,7 +319,6 @@ def computing_argv(draw):
         seed, lam = draw(st.integers(0, 50)), None
     else:
         d, n, p, m = draw(SMALL), draw(SMALL), draw(PRIMES), draw(SMALL)
-        n = min(n, _top_n(cmd, p)) if p > 1 else n
         element, gens = draw(FIELDS), draw(ROWS)
         point = draw(st.integers(0, 5).flatmap(lambda k: _joined(COORDS, k)))
         seed = draw(_maybe(st.integers(-2, 50)))
@@ -339,7 +351,9 @@ def computing_argv(draw):
 @example(["arrangement", "--d=2", "--n=5", "--lambda=--"])
 def test_cli_input_contract(argv):
     out, err = StringIO(), StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with (redirect_stdout(out), redirect_stderr(err),
+          patch.object(invariants, "HILBERT_WALK_CAP", FUZZ_WALK_CAP),
+          patch.object(invariants, "RELATION_WALK_CAP", FUZZ_WALK_CAP)):
         try:
             code = main(argv)
         except SystemExit as exc:

@@ -1,6 +1,8 @@
 """Subgroup enumeration checked against an elementwise oracle, orbits, and
 families."""
 
+import time
+import tracemalloc
 from itertools import combinations, permutations
 from math import factorial
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from genfermat import enumeration
 from genfermat.enumeration import (
     EnumerationTask,
     _columns_free,
@@ -227,6 +230,57 @@ def test_enumerate_all_lifts_match_elimination():
         )
         found = enumerate_all(task, prune=False)
         assert [K.basis for K in found] == [K.basis for K in eliminated], (d, p, n, m)
+
+
+def test_trivial_kernel_cells():
+    # k = 0: the one candidate is the trivial kernel, whose columns are the
+    # m unit vectors and -all-ones, free iff m >= d; no spans are built
+    start = time.perf_counter()
+    found = enumerate_all(EnumerationTask(7, 7, 7, 7))
+    assert time.perf_counter() - start < 0.1
+    assert [K.basis for K in found] == [((1,) * 8,)]
+    for p in (2, 3, 5):
+        for n in range(1, 6):
+            for d in range(1, n + 1):
+                K = trivial_subgroup(GroupParams(p=p, n=n, d=d))
+                want = [basis for basis in iter_rref_bases(n, 0, p)
+                        if subgroup_is_free_dual(K, d)]
+                assert list(iter_rref_bases(n, 0, p, d)) == want, (d, p, n)
+                found = enumerate_all(EnumerationTask(d, p, n, n), prune=False)
+                assert [F.basis for F in found] == [K.basis] * len(want), (d, p, n)
+
+
+def test_kernels_share_row_tuples():
+    found = enumerate_all(EnumerationTask(2, 5, 5, 3))
+    rows = [row for K in found for row in K.basis]
+    assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
+
+
+def test_kernel_storage_bytes():
+    tracemalloc.start()
+    try:
+        found = enumerate_all(EnumerationTask(2, 3, 6, 4))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 6055
+    # slotted subgroups on shared rows: about 129 B each, 451 B unshared
+    assert held / len(found) < 150
+
+
+def test_orbit_members_are_the_input_index_keys(monkeypatch):
+    found = enumerate_all(EnumerationTask(2, 3, 5, 3))
+    made = []  # every key built during classification, kept alive
+
+    def recording(K):
+        made.append(subgroup_canonical_key(K))
+        return made[-1]
+
+    monkeypatch.setattr(enumeration, "subgroup_canonical_key", recording)
+    orbits = classify_orbits(found)
+    members = [key for o in orbits for key in o.members]
+    assert sorted(members) == sorted(subgroup_canonical_key(K) for K in found)
+    assert {id(key) for key in members} <= {id(key) for key in made[:len(found)]}
 
 
 def _orbit_keys_by_all_permutations(K):

@@ -1,8 +1,11 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every defaulted parameter in the package is set by some caller."""
+"""Source hygiene: every name a module imports is used in that module,
+every defaulted parameter in the package is set by some caller, and the
+value types kept by the thousand hold no per-instance dict."""
 
 import ast
 from pathlib import Path
+
+from genfermat.groups import GroupParams, identity, trivial_subgroup
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "tests", "scripts")
@@ -160,3 +163,10 @@ def test_every_default_has_a_caller():
     assert [key for key in unset if key not in ALLOWED] == []
     # an allowance whose parameter is gone or now has a caller is stale
     assert sorted(set(ALLOWED) - set(unset)) == []
+
+
+def test_value_types_use_slots():
+    # enumerate_all keeps every kernel of a cell as a Subgroup
+    params = GroupParams(p=3, n=2, d=1)
+    for value in (identity(params), trivial_subgroup(params)):
+        assert not hasattr(value, "__dict__"), type(value).__name__

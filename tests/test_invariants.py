@@ -206,6 +206,8 @@ def test_binomial_relations_match_oracle(data):
     rels = find_binomial_relations(gens, max_side=max_side)
     want = binomial_relations_oracle(gens, max_side)
     assert list(rels) == want
+    assert [list(group) for group in rels.classes] == sorted(
+        group for group in relation_classes_oracle(gens, max_side) if len(group) > 1)
     assert len(rels) == len(want)
     assert [rels[i] for i in range(len(want))] == want
     assert [rels[i] for i in range(-len(want), 0)] == want
@@ -299,7 +301,14 @@ def test_quotient_model_report_shape():
     report = quotient_model_report(K)
     assert len(report["generators"]) == 13
     assert report["generators"][0]["name"] == "u1"
-    assert report["binomial_relations"]
+    relations = report["binomial_relations"]
+    assert relations["count"] == 124  # as find_binomial_relations(EXAMPLE_GENERATORS)
+    assert sum(comb(len(group), 2) for group in relations["classes"]) == 124
+    names = {g["name"]: g["exponents"] for g in report["generators"]}
+    for group in relations["classes"]:
+        # the monomials of one class have one exponent vector
+        sums = {tuple(map(sum, zip(*(names[u] for u in mono.split("*"))))) for mono in group}
+        assert len(sums) == 1
     assert set(report["action"]) == {"phi1", "phi2", "phi3"}
 
 
