@@ -15,11 +15,12 @@ The walk keeps layered spans L_0 <= ... <= L_{d-1} of the columns placed so
 far (L_r: every combination of at most r of them); a column in L_{d-1} is
 rejected together with every completion of its row prefix.  Freeness is
 cross-checked elsewhere against the element-wise predicate.  The walk packs
-its columns into ints with the lift's byte-aligned fields (p <= 255), so
-each leaf's lift basis in F_p^{n+1} (the kernel rows and all-ones) is read
-off its columns and their running sum without elimination or repacking,
-and its bytes are scattered straight into the basis rows and the canonical
-key.
+its columns into ints with whole-byte fields (`groups.Packed`, p <= 255),
+so each leaf's lift basis in F_p^{n+1} (the kernel rows and all-ones) is
+read off its columns and their running sum without elimination or
+repacking, and its bytes are gathered straight into the basis rows.  The
+kernels are returned sorted by basis, which is their canonical-key order,
+so no key is built during enumeration.
 
 Classification is up to the S_{n+1} of generator permutations.
 `classify_orbits` closes each orbit under the two standard generators, on
@@ -33,9 +34,9 @@ with no closure, and the closure is its test oracle.
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations, islice
-from math import factorial
-from operator import itemgetter
+from itertools import combinations, islice, product
+from math import comb, factorial
+from operator import attrgetter, itemgetter
 
 from .errors import (
     InconsistencyError,
@@ -46,10 +47,13 @@ from .errors import (
 from .fixed_points import free_rank_bound
 from .groups import (
     GroupParams,
+    Packed,
     Subgroup,
+    canonical_key,
     is_prime,
     nullspace_mod_p,
     subgroup_canonical_key,
+    subgroup_element_basis,
     subgroup_from_lift_rows,
     subgroup_to_json,
 )
@@ -118,120 +122,6 @@ def necessary_bounds(d: int, p: int, n: int, m: int) -> Verdict:
 # The pruned walk over RREF bases
 # ---------------------------------------------------------------------------
 
-class _Packed:
-    """Vectors of F_p^m packed into one int, coordinate t in the w-bit field
-    at bit w*t (w defaults to the narrowest width, p.bit_length() + 1).
-    Coordinatewise addition mod p is one int addition plus a carry fix-up:
-    biasing every field by 2^(w-1) - p sets its top bit exactly where the
-    sum reached p."""
-
-    __slots__ = ("p", "m", "w", "ones", "high", "bias")
-
-    def __init__(self, p: int, m: int, w: int = None):
-        self.p, self.m = p, m
-        self.w = w or p.bit_length() + 1
-        self.ones = sum(1 << (self.w * t) for t in range(m))
-        self.high = self.ones << (self.w - 1)
-        self.bias = self.ones * ((1 << (self.w - 1)) - p)
-
-    def pack(self, vec) -> int:
-        return sum((x % self.p) << (self.w * t) for t, x in enumerate(vec))
-
-    def unpack(self, v: int) -> tuple:
-        mask = (1 << self.w) - 1
-        return tuple((v >> (self.w * t)) & mask for t in range(self.m))
-
-    def add(self, u: int, v: int) -> int:
-        s = u + v
-        return s - (((s + self.bias) & self.high) >> (self.w - 1)) * self.p
-
-    def multiples(self, c: int) -> list:
-        """[0, c, 2c, ..., (p-1)c]: entry a is a*c."""
-        p, high, bias, sh = self.p, self.high, self.bias, self.w - 1
-        mults = [0, c]
-        s = c
-        for _ in range(p - 2):
-            s += c
-            s -= (((s + bias) & high) >> sh) * p
-            mults.append(s)
-        return mults
-
-    def vectors(self) -> list:
-        """All of F_p^m, ordered so that the first p^(m-s) entries are the
-        vectors supported on coordinates s..m-1."""
-        out = [0]
-        for t in range(self.m - 1, -1, -1):
-            out = [v + (x << (self.w * t)) for x in range(self.p) for v in out]
-        return out
-
-    def grow(self, spans, c: int) -> list:
-        """Add column c to the layered spans in place: spans[r] holds every
-        combination of at most r columns, and gains spans[r-1] + a*c for
-        a in F_p^*.  Returns the added sets, for shrink."""
-        mults = self.multiples(c)[1:]
-        p, high, bias, sh = self.p, self.high, self.bias, self.w - 1
-        added = []
-        for r in range(len(spans) - 1, 0, -1):
-            new = {
-                (s := v + a) - (((s + bias) & high) >> sh) * p
-                for v in spans[r - 1] for a in mults
-            }
-            new -= spans[r]
-            spans[r] |= new
-            added.append((r, new))
-        return added
-
-    @staticmethod
-    def shrink(spans, added):
-        for r, new in added:
-            spans[r] -= new
-
-    def closes(self, spans, total: int, c: int) -> bool:
-        """Whether the dependent column -(total + c) stays out of the top span
-        once c is placed.  That span is spans[-1] | (spans[-2] + a*c), a != 0,
-        so membership reduces to total + b*c, b != 1, against spans[-2]."""
-        x = self.add(total, c)
-        if x in spans[-1]:
-            return False
-        if len(spans) == 1:
-            return True
-        lower = spans[-2]
-        if total in lower:
-            return False
-        for _ in range(self.p - 2):
-            x = self.add(x, c)
-            if x in lower:
-                return False
-        return True
-
-    def insert(self, rows, v) -> list:
-        """Reduced echelon rows of the span of `rows` and v, where `rows` are
-        reduced echelon (pivot entries 1, sorted by pivot) and v is nonzero
-        with a zero at each of their pivots: scale v at its leading
-        coordinate, clear that coordinate from every row with one add each,
-        and insert v in pivot order."""
-        p, high, bias, sh = self.p, self.high, self.bias, self.w - 1
-        mask = (1 << self.w) - 1
-        c = ((v & -v).bit_length() - 1) // self.w * self.w
-        lead = 1 << c  # the lowest bit of a row with pivot entry 1 there
-        inv = pow((v >> c) & mask, -1, p)
-        mults = self.multiples(v)
-        u = mults[inv]
-        out = []
-        for r in rows:
-            f = (r >> c) & mask
-            if f:
-                s = r + mults[-f * inv % p]
-                r = s - (((s + bias) & high) >> sh) * p
-            elif u and r & -r > lead:
-                out.append(u)
-                u = 0  # placed
-            out.append(r)
-        if u:
-            out.append(u)
-        return out
-
-
 def _walk(row, hi, packed, vecs, spans, total, placed):
     """Place basis rows row, row-1, ..., 0 below the rows already in
     `placed`, yielding the final running total (all-ones plus every column)
@@ -254,52 +144,44 @@ def _walk(row, hi, packed, vecs, spans, total, placed):
 
 
 def _leaves(packed, k, d, placed):
-    """The walk over k basis rows with quotient columns in `packed`'s F_p^m:
-    yield its final running total at each leaf, with `placed` holding the
-    leaf's (s_i, c_i) pairs, row k-1 first.  With d, only d-free columns.
-    At k = 0 the columns are the m unit vectors and -all-ones, which has
-    support m, so it lies in the span of at most d-1 of them iff m < d."""
+    """The walk over k basis rows with d-free quotient columns in `packed`'s
+    F_p^m: yield its final running total at each leaf, with `placed` holding
+    the leaf's (s_i, c_i) pairs, row k-1 first.  With pivots P and non-pivot
+    positions Q = (Q_1..Q_m), the quotient column at Q_t is the unit vector
+    e_t, the column at pivot P_i is minus row i restricted to Q, and the
+    dependent column c_{n+1} is minus their sum, so each row fixes one
+    column and the walk never eliminates.  At k = 0 the columns are the m
+    unit vectors and -all-ones, which has support m, so it lies in the span
+    of at most d-1 of them iff m < d."""
     if k == 0:
-        if d is None or packed.m >= d:
+        if packed.m >= d:
             yield packed.ones
         return
-    spans = [set()]  # spans nothing, so the walk rejects nothing
-    if d is not None:
-        spans = [{0} for _ in range(d)]
-        for t in range(packed.m):
-            packed.grow(spans, 1 << (packed.w * t))
+    spans = [{0} for _ in range(d)]
+    for t in range(packed.m):
+        packed.grow(spans, 1 << (packed.w * t))
     yield from _walk(k - 1, packed.m, packed, packed.vectors(), spans, packed.ones, placed)
 
 
-def iter_rref_bases(n: int, k: int, p: int, d: int = None):
+def iter_rref_bases(n: int, k: int, p: int):
     """Yield the unique RREF basis (k rows of length n) of every
-    k-dimensional subspace of F_p^n; with d, only the kernels whose quotient
-    columns are d-free.
-
-    With pivots P and non-pivot positions Q = (Q_1..Q_m), the quotient
-    column at Q_t is the unit vector e_t, the column at pivot P_i is minus
-    row i restricted to Q, and the dependent column c_{n+1} is minus their
-    sum.  So each row fixes one column and the walk never eliminates.
-    `enumerate_all` reads its lifts off the same walk's leaves; this is the
-    tests' brute-force enumerator (without d) and elimination oracle."""
-    packed = _Packed(p, n - k)
-    placed = []
-    for _ in _leaves(packed, k, d, placed):
-        pivots = [s + k - 1 - j for j, (s, _) in enumerate(placed)]
-        free = [q for q in range(n) if q not in pivots]
-        rows = []
-        for P, (_, c) in zip(reversed(pivots), reversed(placed)):
-            row = [0] * n
-            row[P] = 1
-            for q, x in zip(free, packed.unpack(c)):
-                row[q] = -x % p
-            rows.append(tuple(row))
-        yield tuple(rows)
+    k-dimensional subspace of F_p^n by brute force: every pivot set, and
+    every filling of the entries right of a pivot outside the pivot
+    columns.  The tests' enumerator and elimination oracle; it shares
+    nothing with the walk."""
+    for pivots in combinations(range(n), k):
+        slots = [(i, q) for i, P in enumerate(pivots)
+                 for q in range(P + 1, n) if q not in pivots]
+        for values in product(range(p), repeat=len(slots)):
+            rows = [[int(q == P) for q in range(n)] for P in pivots]
+            for (i, q), x in zip(slots, values):
+                rows[i][q] = x
+            yield tuple(map(tuple, rows))
 
 
 def _quotient_columns(basis_rows, n: int, p: int):
     """Columns c_1..c_{n+1} in F_p^m of a quotient map whose kernel has the
-    RREF basis basis_rows, read off the basis as in iter_rref_bases."""
+    RREF basis basis_rows, read off the basis as in `_leaves`."""
     pivots = [next(j for j, x in enumerate(row) if x) for row in basis_rows]
     free = [q for q in range(n) if q not in pivots]
     m = len(free)
@@ -315,7 +197,7 @@ def _quotient_columns(basis_rows, n: int, p: int):
 def _columns_free(cols, d: int, p: int) -> bool:
     """No nonzero combination of at most d columns vanishes: fold the
     columns through the layered spans, rejecting any already spanned."""
-    packed = _Packed(p, len(cols[0]))
+    packed = Packed(p, len(cols[0]))
     spans = [{0} for _ in range(d)]
     for col in cols:
         c = packed.pack(col)
@@ -328,39 +210,9 @@ def _columns_free(cols, d: int, p: int) -> bool:
 def subgroup_is_free_dual(K: Subgroup, d: int) -> bool:
     """Dual-route freeness check on the quotient columns of K (no element
     enumeration)."""
-    from .groups import subgroup_element_basis
-
     basis = tuple(row[:-1] for row in subgroup_element_basis(K))
     cols = _quotient_columns(basis, K.params.n, K.params.p)
     return _columns_free(cols, d, K.params.p)
-
-
-class _LiftRows:
-    """Lift bases in F_p^{n+1} as tuples of packed reduced echelon rows:
-    `_Packed` with fields of B = ceil((p.bit_length() + 1) / 8) bytes, for
-    p <= 255.  The bytes of a row, as `subgroup_canonical_key` joins them,
-    are then every B-th byte of its int."""
-
-    __slots__ = ("packed", "step", "size", "head")
-
-    def __init__(self, params: GroupParams):
-        self.step = (params.p.bit_length() + 8) // 8
-        self.packed = _Packed(params.p, params.n + 1, 8 * self.step)
-        self.size = self.step * (params.n + 1)
-        self.head = subgroup_canonical_key(Subgroup((), params))  # key of no rows
-
-    def pack(self, row) -> int:
-        if self.step == 1:
-            return int.from_bytes(bytes(row), "little")
-        buf = bytearray(self.step * len(row))
-        buf[::self.step] = bytes(row)
-        return int.from_bytes(buf, "little")
-
-    def row_bytes(self, rows) -> list:
-        return [v.to_bytes(self.size, "little")[::self.step] for v in rows]
-
-    def key(self, row_bytes) -> bytes:
-        return self.head + b"|".join(row_bytes)
 
 
 def _lift_layout(pattern, n: int, step: int):
@@ -368,8 +220,7 @@ def _lift_layout(pattern, n: int, step: int):
     `enumerate_all`, for the pivot pattern (t0, s_{k-1}, ..., s_0).  The
     buffer holds the k kernel rows (row k-1 first) and then u, each as m+1
     fields of `step` bytes (coordinates Q_0..Q_{m-1}, then n), and then
-    b"\\0\\1|".  Returns one itemgetter per basis row, in pivot order, and one
-    for the canonical key's body (the rows joined by "|")."""
+    b"\\0\\1".  Returns one itemgetter per basis row, in pivot order."""
     t0, *ss = pattern
     k = len(ss)
     pivots = [s + k - 1 - j for j, s in enumerate(ss)]
@@ -378,13 +229,11 @@ def _lift_layout(pattern, n: int, step: int):
     zero = (k + 1) * size
     place = {q: step * t for t, q in enumerate(free)}
     place[n] = step * len(free)
-    rows = [
-        [zero + 1 if x == lead else zero if x in pivots else size * seg + place[x]
-         for x in range(n + 1)]
+    return [
+        itemgetter(*[zero + 1 if x == lead else zero if x in pivots else size * seg + place[x]
+                     for x in range(n + 1)])
         for lead, seg in sorted(zip(pivots + [free[t0]], range(k + 1)))
     ]
-    body = [i for row in rows for i in row + [zero + 2]][:-1]
-    return [itemgetter(*row) for row in rows], itemgetter(*body)
 
 
 def _lift_lead(wide, t: int):
@@ -401,23 +250,24 @@ def _lift_lead(wide, t: int):
 
 
 def enumerate_all(task: EnumerationTask, prune: bool = True):
-    """All of F(d;p,n,m), sorted by canonical key.  Walks the
-    (n-m)-dimensional subspaces of F_p^n under the subspace cap, pruning
-    every row prefix whose quotient columns already fail freeness, and
-    builds each lift basis in F_p^{n+1} at the walk's leaf, from the
-    columns c_i and the running total = all-ones + sum c_i:
+    """All of F(d;p,n,m), sorted by lift basis, which is the order of their
+    canonical keys (`groups.canonical_key`).  Walks the (n-m)-dimensional
+    subspaces of F_p^n under the subspace cap, pruning every row prefix
+    whose quotient columns already fail freeness, and builds each lift basis
+    in F_p^{n+1} at the walk's leaf, from the columns c_i and the running
+    total = all-ones + sum c_i:
     - all-ones reduced against the kernel rows (pivot entry 1, -c_i on the
       non-pivot coordinates Q, 0 at coordinate n) is total on Q and 1 at n;
       total is nonzero, as c_{n+1} = -total is free, so its lowest nonzero
       field t0 gives the lead Q_{t0}, and u is that vector scaled to 1 there;
     - kernel row i becomes -c_i + c_{i,t0} u, zero at Q_{t0}.
     These rows are reduced echelon once sorted by pivot, so a leaf only does
-    field arithmetic on packed ints with byte-aligned fields (`_Packed`, one
-    field per coordinate of Q and one for n) and scatters their bytes.  The
-    walk packs its columns with the same fields, so every column and total
-    is already in that layout, with the field of n zero.  The bases of one
-    call share one tuple per distinct row, and the canonical keys are kept
-    only until the final sort."""
+    field arithmetic on packed ints with whole-byte fields
+    (`Packed.byte_fields`, one field per coordinate of Q and one for n) and
+    gathers their bytes into the basis rows.  The walk packs its columns
+    with the same fields, so every column and total is already in that
+    layout, with the field of n zero.  The bases of one call share one
+    tuple per distinct row, and the list of kernels is all that is kept."""
     if prune and not necessary_bounds(task.d, task.p, task.n, task.m).possibly_nonempty:
         return []
     n, p, m = task.n, task.p, task.m
@@ -429,10 +279,9 @@ def enumerate_all(task: EnumerationTask, prune: bool = True):
             attempted=count,
         )
     params = task.params
-    lift = _LiftRows(params)
-    w = lift.packed.w
-    wide = _Packed(p, m + 1, w)
-    size, mask = lift.step * (m + 1), (1 << w) - 1
+    wide = Packed.byte_fields(p, m + 1)
+    w = wide.w
+    size, mask = w // 8 * (m + 1), (1 << w) - 1
     high, bias, sh = wide.high, wide.bias, w - 1
     at_n = 1 << (w * m)
     neg = (wide.ones - at_n) * p  # neg - c is -c with fields in [1, p]
@@ -440,9 +289,9 @@ def enumerate_all(task: EnumerationTask, prune: bool = True):
     layouts = {}
     shared = {}  # one tuple per distinct basis row, which every basis reuses
     share = shared.setdefault
-    found = {}
+    found = []
     placed = []
-    for total in _leaves(_Packed(p, m, w), k, task.d, placed):
+    for total in _leaves(Packed.byte_fields(p, m), k, task.d, placed):
         lead = leads.get(total)
         if lead is None:
             lead = leads[total] = _lift_lead(wide, total + at_n)
@@ -453,16 +302,16 @@ def enumerate_all(task: EnumerationTask, prune: bool = True):
             r = neg - c
             r += fix[(r >> shift) & mask]
             rows.append((r - (((r + bias) & high) >> sh) * p).to_bytes(size, "little"))
-        rows.append(u)
-        rows.append(b"\0\1|")
+        rows += (u, b"\0\1")
         pattern = (t0, *[s for s, _ in placed])
         layout = layouts.get(pattern)
         if layout is None:
-            layout = layouts[pattern] = _lift_layout(pattern, n, lift.step)
+            layout = layouts[pattern] = _lift_layout(pattern, n, w // 8)
         buf = b"".join(rows)
-        basis = [g(buf) for g in layout[0]]
-        found[lift.head + bytes(layout[1](buf))] = Subgroup(tuple(map(share, basis, basis)), params)
-    return [found[key] for key in sorted(found)]
+        basis = [g(buf) for g in layout]
+        found.append(Subgroup(tuple(map(share, basis, basis)), params))
+    found.sort(key=attrgetter("basis"))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -479,21 +328,21 @@ class OrbitClass:
 def _orbit_keys(K: Subgroup):
     """Canonical keys of every subgroup in the S_{n+1}-orbit of K, by
     closure under the transposition (0 1) and the full cycle, which generate
-    S_{n+1}.  Members are lift bases held as packed rows (`_LiftRows`), and
-    neither generator needs an elimination, because the all-ones vector in
-    every lift keeps coordinate 0 a pivot:
+    S_{n+1}.  Members are lift bases held as packed rows with whole-byte
+    fields (`Packed.byte_fields`), and neither generator needs an
+    elimination, because the all-ones vector in every lift keeps coordinate
+    0 a pivot:
     - When coordinate 1 is a pivot, (0 1) exchanges rows 0 and 1 and their
       entries at coordinates 0 and 1.  Otherwise row 0 is the only row
       with support on coordinates 0 and 1, and as all-ones is the sum of
       the rows both its entries there are 1, so the subgroup is fixed.
     - The cycle moves coordinate j+1 to j and 0 to n.  Rows 1..k stay
       reduced echelon, and row 0 is zero at their pivots, so it goes back
-      in by one `_Packed.insert`."""
-    lift = _LiftRows(K.params)
-    packed = lift.packed
+      in by one `Packed.insert`."""
+    packed = Packed.byte_fields(K.params.p, K.params.n + 1)
     w = packed.w
     mask, top, e1 = (1 << w) - 1, w * K.params.n, 1 << w
-    start = tuple(lift.pack(row) for row in K.basis)
+    start = tuple(packed.pack(row) for row in K.basis)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -506,7 +355,7 @@ def _orbit_keys(K: Subgroup):
             if img not in seen:
                 seen.add(img)
                 frontier.append(img)
-    return {lift.key(lift.row_bytes(rows)) for rows in seen}
+    return {canonical_key(K.params, map(packed.to_bytes, rows)) for rows in seen}
 
 
 def classify_orbits(subgroups):
@@ -544,10 +393,10 @@ def classify_orbits(subgroups):
 def _information_set_forms(K: Subgroup):
     """For every information set I of K's lift basis M (the k+1 columns
     where M is invertible), the rows of M_I^{-1} M restricted to the other
-    columns, as tuples.  Rows are packed ints (`_Packed`), so each pivot
+    columns, as tuples.  Rows are packed ints (`Packed`), so each pivot
     step is a table of multiples and one add per row."""
     p, size = K.params.p, K.params.n + 1
-    packed = _Packed(p, size)
+    packed = Packed(p, size)
     w, mask = packed.w, (1 << packed.w) - 1
     basis = [packed.pack(row) for row in K.basis]
     r = len(basis)
@@ -614,22 +463,30 @@ def _least_orbit_form(K: Subgroup):
             weight *= factorial(cols.count(col))
         stab += weight
     r = len(prefix)
-    head = subgroup_canonical_key(Subgroup((), K.params))
-    key = head + b"|".join(
-        bytes([int(j == l) for j in range(r)] + seq) for l, seq in enumerate(prefix)
+    key = canonical_key(
+        K.params, [bytes([int(j == l) for j in range(r)] + seq) for l, seq in enumerate(prefix)]
     )
     return key, stab
+
+
+# Most information sets, C(n+1, k+1) for a lift basis of k+1 rows, that
+# `canonical_orbit_key` eliminates on: the odd_m family at m = 5 (n = 15)
+# has 4,368 and takes about 2 s.
+INFORMATION_SET_CAP = 5_000
 
 
 def canonical_orbit_key(K: Subgroup) -> bytes:
     """Least canonical key over the S_{n+1}-orbit of K: equal for two
     subgroups iff they differ by a generator permutation.  Found from the
     information sets of K's lift basis (`_least_orbit_form`), at most
-    C(n+1, k+1) eliminations of k+1 packed rows and a pruned search over
-    their row orders, with no orbit closure.  n+1 is capped at 8."""
-    n = K.params.n
-    if n + 1 > 8:
-        raise ResourceLimitError(f"full canonicalization limited to n+1 <= 8, got {n + 1}")
+    C(n+1, k+1) <= INFORMATION_SET_CAP eliminations of k+1 packed rows and a
+    pruned search over their row orders, with no orbit closure."""
+    count = comb(K.params.n + 1, len(K.basis))
+    if count > INFORMATION_SET_CAP:
+        raise ResourceLimitError(
+            f"{count} candidate information sets exceed cap {INFORMATION_SET_CAP}",
+            attempted=count,
+        )
     return _least_orbit_form(K)[0]
 
 

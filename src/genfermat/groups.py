@@ -8,10 +8,13 @@ last entry 0.  Subgroups are stored through their lift to F_p^{n+1}, which
 always contains the all-ones vector, as a unique reduced row-echelon basis.
 
 Element arithmetic works for any p >= 2; the subgroup linear algebra
-(echelon forms, orders, quotient ranks) requires p prime.
+(echelon forms, orders, quotient ranks) requires p prime.  Vectors over F_p
+can also be packed into ints (`Packed`), so that a vector sum is one int
+addition; `canonical_key` is the one definition of a subgroup's key bytes.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from math import gcd, lcm
 
@@ -147,6 +150,128 @@ def elem_pow(a: GroupElement, k: int) -> GroupElement:
 # Linear algebra over F_p (p prime)
 # ---------------------------------------------------------------------------
 
+class Packed:
+    """Vectors of F_p^m packed into one int, coordinate t in the w-bit field
+    at bit w*t (w defaults to the narrowest width, p.bit_length() + 1;
+    `byte_fields` gives fields of whole bytes).  Coordinatewise addition
+    mod p is one int addition plus a carry fix-up: biasing every field by
+    2^(w-1) - p sets its top bit exactly where the sum reached p."""
+
+    __slots__ = ("p", "m", "w", "ones", "high", "bias")
+
+    def __init__(self, p: int, m: int, w: int = None):
+        self.p, self.m = p, m
+        self.w = w or p.bit_length() + 1
+        self.ones = sum(1 << (self.w * t) for t in range(m))
+        self.high = self.ones << (self.w - 1)
+        self.bias = self.ones * ((1 << (self.w - 1)) - p)
+
+    @staticmethod
+    def byte_fields(p: int, m: int) -> "Packed":
+        """Fields of B = ceil((p.bit_length() + 1) / 8) whole bytes, so for
+        p <= 255 the entries of a vector are every B-th byte of its int
+        (`to_bytes`)."""
+        return Packed(p, m, 8 * ((p.bit_length() + 8) // 8))
+
+    def pack(self, vec) -> int:
+        return sum((x % self.p) << (self.w * t) for t, x in enumerate(vec))
+
+    def to_bytes(self, v: int) -> bytes:
+        """The entries of v, one byte each, for whole-byte fields."""
+        step = self.w // 8
+        return v.to_bytes(step * self.m, "little")[::step]
+
+    def add(self, u: int, v: int) -> int:
+        s = u + v
+        return s - (((s + self.bias) & self.high) >> (self.w - 1)) * self.p
+
+    def multiples(self, c: int) -> list:
+        """[0, c, 2c, ..., (p-1)c]: entry a is a*c."""
+        p, high, bias, sh = self.p, self.high, self.bias, self.w - 1
+        mults = [0, c]
+        s = c
+        for _ in range(p - 2):
+            s += c
+            s -= (((s + bias) & high) >> sh) * p
+            mults.append(s)
+        return mults
+
+    def vectors(self) -> list:
+        """All of F_p^m, ordered so that the first p^(m-s) entries are the
+        vectors supported on coordinates s..m-1."""
+        out = [0]
+        for t in range(self.m - 1, -1, -1):
+            out = [v + (x << (self.w * t)) for x in range(self.p) for v in out]
+        return out
+
+    def grow(self, spans, c: int) -> list:
+        """Add column c to the layered spans in place: spans[r] holds every
+        combination of at most r columns, and gains spans[r-1] + a*c for
+        a in F_p^*.  Returns the added sets, for shrink."""
+        mults = self.multiples(c)[1:]
+        p, high, bias, sh = self.p, self.high, self.bias, self.w - 1
+        added = []
+        for r in range(len(spans) - 1, 0, -1):
+            new = {
+                (s := v + a) - (((s + bias) & high) >> sh) * p
+                for v in spans[r - 1] for a in mults
+            }
+            new -= spans[r]
+            spans[r] |= new
+            added.append((r, new))
+        return added
+
+    @staticmethod
+    def shrink(spans, added):
+        for r, new in added:
+            spans[r] -= new
+
+    def closes(self, spans, total: int, c: int) -> bool:
+        """Whether the dependent column -(total + c) stays out of the top span
+        once c is placed.  That span is spans[-1] | (spans[-2] + a*c), a != 0,
+        so membership reduces to total + b*c, b != 1, against spans[-2]."""
+        x = self.add(total, c)
+        if x in spans[-1]:
+            return False
+        if len(spans) == 1:
+            return True
+        lower = spans[-2]
+        if total in lower:
+            return False
+        for _ in range(self.p - 2):
+            x = self.add(x, c)
+            if x in lower:
+                return False
+        return True
+
+    def insert(self, rows, v) -> list:
+        """Reduced echelon rows of the span of `rows` and v, where `rows` are
+        reduced echelon (pivot entries 1, sorted by pivot) and v is nonzero
+        with a zero at each of their pivots: scale v at its leading
+        coordinate, clear that coordinate from every row with one add each,
+        and insert v in pivot order."""
+        p, high, bias, sh = self.p, self.high, self.bias, self.w - 1
+        mask = (1 << self.w) - 1
+        c = ((v & -v).bit_length() - 1) // self.w * self.w
+        lead = 1 << c  # the lowest bit of a row with pivot entry 1 there
+        inv = pow((v >> c) & mask, -1, p)
+        mults = self.multiples(v)
+        u = mults[inv]
+        out = []
+        for r in rows:
+            f = (r >> c) & mask
+            if f:
+                s = r + mults[-f * inv % p]
+                r = s - (((s + bias) & high) >> sh) * p
+            elif u and r & -r > lead:
+                out.append(u)
+                u = 0  # placed
+            out.append(r)
+        if u:
+            out.append(u)
+        return out
+
+
 def rref_mod_p(rows, p):
     """Reduced row-echelon form over F_p.  Returns a tuple of nonzero rows
     with pivots scaled to 1, sorted by pivot column.  Unique per row space."""
@@ -226,13 +351,12 @@ class Subgroup:
 
 
 def subgroup_from_generators(gens, params: GroupParams) -> Subgroup:
-    params.require_prime()
-    rows = [(1,) * (params.n + 1)]
+    rows = []
     for g in gens:
         if g.params != params:
             raise DimensionError("generator parameter mismatch")
         rows.append(g.exponents)
-    return Subgroup(rref_mod_p(rows, params.p), params)
+    return subgroup_from_lift_rows(rows, params)
 
 
 def subgroup_from_lift_rows(rows, params: GroupParams) -> Subgroup:
@@ -310,17 +434,30 @@ def subgroup_elements(K: Subgroup):
     return out
 
 
+@cache  # one head per (p, n), shared by every key of an orbit closure
+def _key_head(p: int, n: int) -> bytes:
+    return f"{p},{n};".encode()
+
+
+def canonical_key(params: GroupParams, row_bytes) -> bytes:
+    """The canonical key of the lift basis whose rows have the entries
+    `row_bytes` (one byte each, rows in pivot order): "p,n;" and then the
+    rows joined by "|".  All rows have n+1 bytes, so for fixed params the
+    keys order like the bases' row tuples."""
+    return _key_head(params.p, params.n) + b"|".join(row_bytes)
+
+
 def subgroup_canonical_key(K: Subgroup) -> bytes:
-    """Deterministic serialization of the RREF lift basis; equal keys iff
-    equal subgroups (for fixed params).  One byte per entry, so p <= 255."""
-    head = f"{K.params.p},{K.params.n};".encode()
+    """Deterministic serialization of the RREF lift basis (`canonical_key`);
+    equal keys iff equal subgroups (for fixed params).  One byte per entry,
+    so p <= 255."""
     try:
-        body = b"|".join(bytes(row) for row in K.basis)
+        rows = [bytes(row) for row in K.basis]
     except ValueError as exc:
         raise UnsupportedParameterError(
             f"canonical keys hold one byte per entry, so p <= 255, got {K.params.p}"
         ) from exc
-    return head + body
+    return canonical_key(K.params, rows)
 
 
 def subgroup_to_json(K: Subgroup):

@@ -30,8 +30,8 @@ from .errors import (
     ResourceLimitError,
     UnsupportedParameterError,
 )
-from .enumeration import _Packed
 from .groups import (
+    Packed,
     Subgroup,
     generator,
     is_prime,
@@ -95,14 +95,14 @@ def hilbert_basis(action: DiagonalAction):
     the prefix.  Every prefix is zero-sum free, so it has fewer than
     D(G) <= |G| terms (the Davenport constant of the character group G),
     and the walk needs no degree bound of its own.  Characters are packed
-    into ints (`_Packed`), so a sum is one addition and a carry fix-up.
+    into ints (`Packed`), so a sum is one addition and a carry fix-up.
     `reach` is one set of ints for the whole walk: an extension adds the
     new sums and records them on the path, and backtracking removes them,
-    as `_Packed.grow`/`shrink` do, so the walk holds about twice the
+    as `Packed.grow`/`shrink` do, so the walk holds about twice the
     deepest prefix's `reach`.  HILBERT_WALK_CAP bounds the walk's steps: one
     per monomial visited plus one per sub-multiset sum formed."""
     p, n = action.p, action.num_vars
-    packing = _Packed(p, len(action.rows))
+    packing = Packed(p, len(action.rows))
     high, bias, sh = packing.high, packing.bias, packing.w - 1
     chars = [packing.pack(row[j] for row in action.rows) for j in range(n)]
     negs = [packing.pack(-row[j] for row in action.rows) for j in range(n)]

@@ -4,7 +4,7 @@ families."""
 import time
 import tracemalloc
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -223,10 +223,10 @@ def test_enumerate_all_lifts_match_elimination():
     # the lift built at the walk's leaf is the basis a full elimination gives
     for d, p, n, m in SWEEP + WIDE_CELLS + EDGE_CELLS:
         task = EnumerationTask(d=d, p=p, n=n, m=m)
+        candidates = (subgroup_from_lift_rows([row + (0,) for row in basis], task.params)
+                      for basis in iter_rref_bases(n, n - m, p))
         eliminated = sorted(
-            (subgroup_from_lift_rows([row + (0,) for row in basis], task.params)
-             for basis in iter_rref_bases(n, n - m, p, d)),
-            key=subgroup_canonical_key,
+            (K for K in candidates if subgroup_is_free_dual(K, d)), key=subgroup_canonical_key
         )
         found = enumerate_all(task, prune=False)
         assert [K.basis for K in found] == [K.basis for K in eliminated], (d, p, n, m)
@@ -243,11 +243,9 @@ def test_trivial_kernel_cells():
         for n in range(1, 6):
             for d in range(1, n + 1):
                 K = trivial_subgroup(GroupParams(p=p, n=n, d=d))
-                want = [basis for basis in iter_rref_bases(n, 0, p)
-                        if subgroup_is_free_dual(K, d)]
-                assert list(iter_rref_bases(n, 0, p, d)) == want, (d, p, n)
+                want = [K.basis] if subgroup_is_free_dual(K, d) else []
                 found = enumerate_all(EnumerationTask(d, p, n, n), prune=False)
-                assert [F.basis for F in found] == [K.basis] * len(want), (d, p, n)
+                assert [F.basis for F in found] == want, (d, p, n)
 
 
 def test_kernels_share_row_tuples():
@@ -260,12 +258,14 @@ def test_kernel_storage_bytes():
     tracemalloc.start()
     try:
         found = enumerate_all(EnumerationTask(2, 3, 6, 4))
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(found) == 6055
     # slotted subgroups on shared rows: about 129 B each, 451 B unshared
     assert held / len(found) < 150
+    # nothing but the kernels grows with the walk: the peak is about 1.16x
+    assert peak <= 1.4 * held
 
 
 def test_orbit_members_are_the_input_index_keys(monkeypatch):
@@ -325,6 +325,8 @@ def test_orbit_closure_matches_all_permutations(K):
 # 128 <= p <= 255
 @example(subgroup_from_lift_rows([(0, 1, 5, 130), (0, 0, 2, 7)], GroupParams(p=131, n=3, d=1)))
 @example(subgroup_from_lift_rows([(3, 0, 250, 7, 1)], GroupParams(p=251, n=4, d=1)))
+# n = 9: 210 information sets against a closure of 30,240 members
+@example(construct_family("even_m", m=4))
 def test_canonical_orbit_key_matches_closure_minimum(K):
     # the information-set search finds the closure's least key, and its tie
     # count is the stabilizer order
@@ -332,6 +334,13 @@ def test_canonical_orbit_key_matches_closure_minimum(K):
     key, stab = _least_orbit_form(K)
     assert key == min(orbit) == canonical_orbit_key(K)
     assert factorial(K.params.n + 1) // stab == len(orbit)
+
+
+def test_information_set_cap(monkeypatch):
+    K = construct_family("even_m", m=4)  # n = 9, lift rank 6
+    monkeypatch.setattr(enumeration, "INFORMATION_SET_CAP", comb(10, 6) - 1)
+    with pytest.raises(ResourceLimitError):
+        canonical_orbit_key(K)
 
 
 def test_classification_single_orbit():

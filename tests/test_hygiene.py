@@ -1,6 +1,7 @@
-"""Source hygiene: every name a module imports is used in that module,
-every defaulted parameter in the package is set by some caller, and the
-value types kept by the thousand hold no per-instance dict."""
+"""Source hygiene: every name a module imports is used in that module, no
+package module imports another's private names, every defaulted parameter
+in the package is set by some caller, and the value types kept by the
+thousand hold no per-instance dict."""
 
 import ast
 from pathlib import Path
@@ -16,7 +17,6 @@ CALLERS = ("src", "bench", "scripts")
 ALLOWED = {
     "find_binomial_relations.max_side":
         "the tests need max_side=4 to reach the golden 4-element-side relations",
-    "iter_rref_bases.d": "iter_rref_bases is a test-only oracle",
     "main.argv": "the entry point: None reads sys.argv",
 }
 
@@ -48,6 +48,27 @@ def test_no_unused_imports():
         for top in SCANNED
         for path in sorted((ROOT / top).rglob("*.py"))
         for line, name in unused_imports(path)
+    ]
+    assert found == []
+
+
+def private_imports(path):
+    """(line, name) for each underscore name that the module imports from a
+    genfermat module (dunder names such as __version__ are public)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "genfermat"):
+            found.extend((node.lineno, alias.name) for alias in node.names
+                         if alias.name.startswith("_") and not alias.name.startswith("__"))
+    return found
+
+
+def test_no_private_imports_across_modules():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line, name in private_imports(path)
     ]
     assert found == []
 
