@@ -8,14 +8,18 @@ multiplicity, sum to zero.  The minimal monomial generators (the Hilbert
 basis of the invariant monoid) are found by a walk over zero-sum-free
 sequences of characters packed into ints.  Their binomial relations come
 from one depth-first walk over generator multisets, keyed by packed-int
-exponent sums.  Every two members of one sum class form a relation, so
-`find_binomial_relations` returns a `BinomialRelations` sequence that
-stores the classes and reads the (a, b) pairs, in sorted order, off them on
-demand.  The affine-linear relations coming from the defining equations on
-the chart x_{n+1}=1, and the induced action of the quotient group, are
-computed here too.
+exponent sums, in which each multiset is one int code whose order is the
+order of its index tuple.  Every two members of one sum class form a
+relation, so `find_binomial_relations` returns a `BinomialRelations`
+sequence that stores the classes as codes, with one join record (class,
+count) per joining multiset in two parallel sequences, and decodes the
+(a, b) pairs, in sorted order, only when they are read.  The affine-linear
+relations coming from the defining equations on the chart x_{n+1}=1, and
+the induced action of the quotient group, are computed here too.
 """
 
+import sys
+from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -192,48 +196,112 @@ def _multiset_exponent_sum(gens, multiset):
 # quotient-model bases (57 generators) visits about 522 k.
 RELATION_WALK_CAP = 1_000_000
 
+# Byte translation from a one-byte code field to the generator index it
+# holds: index + 1 -> index, and an unused field, 0 -> 255.
+_FIELD_TO_INDEX = bytes([255, *range(255)])
+
 
 class BinomialRelations(Sequence):
     """The pairs (a, b) of `find_binomial_relations`, in sorted order, held
-    as sum classes.  Every pair of members of one class is a relation, so
-    only the classes are stored, with one entry (a, class, count) per
-    multiset a that has lexicographically larger partners, and the prefix
-    sums of the counts.  A class lists its members in descending order, so
-    a's partners are its first `count` members.  Indexing is one
-    bisection; a slice returns a list of pairs."""
+    as sum classes of multiset codes.  A code is one int: a multiset's
+    indices, each plus one, in `max_side` fields of `field` bytes, the first
+    index in the most significant field and unused fields 0, so codes
+    compare as the index tuples do.  A class holds its members' codes in
+    descending order, in an array of 8-byte words when they fit one.  Each
+    multiset a that has lexicographically larger partners has one join
+    record, kept in two parallel sequences ascending in a: its class, and
+    its position `count` in the class.  The members before that position
+    are a's partners.  Only the records and the prefix sums of the counts
+    are kept, and codes are decoded only when read: indexing is one
+    bisection and decodes two codes, a slice decodes its pairs in one
+    batch, iteration decodes each class once, and `classes` each member
+    once."""
 
-    __slots__ = ("_entries", "_ends")
+    __slots__ = ("_classes", "_counts", "_ends", "_side", "_field")
 
-    def __init__(self, entries):
-        self._entries = entries
-        self._ends = list(accumulate(count for _, _, count in entries))
+    def __init__(self, classes, counts, max_side, field):
+        self._classes = classes
+        self._counts = counts
+        self._ends = array("Q", accumulate(counts))
+        self._side = max_side
+        self._field = field
+
+    def _decode(self, codes):
+        """The index tuples of the multisets coded by `codes`, in order."""
+        side, field = self._side, self._field
+        if field == 1 and side <= 8:
+            # One buffer of big-endian 8-byte words, translated to indices:
+            # field k of every code is one strided slice, and zipping the
+            # slices gives each multiset, padded with 255 past its end.
+            words = array("Q", codes)
+            if sys.byteorder == "little":
+                words.byteswap()
+            size = words.itemsize
+            buffer = words.tobytes().translate(_FIELD_TO_INDEX)
+            members = list(zip(*(buffer[k::size] for k in range(size - side, size))))
+            last = buffer[size - 1::size]
+            t = last.find(255)
+            while t >= 0:  # a multiset shorter than max_side
+                members[t] = members[t][:members[t].index(255)]
+                t = last.find(255, t + 1)
+            return members
+        bits = 8 * field
+        mask = (1 << bits) - 1
+        shifts = range(bits * (side - 1), -1, -bits)
+        return [tuple(f - 1 for s in shifts if (f := code >> s & mask)) for code in codes]
+
+    def _pair(self, i):
+        """The codes of pair i, for 0 <= i < len(self)."""
+        j = bisect_right(self._ends, i)
+        group = self._classes[j]
+        return group[self._counts[j]], group[self._ends[j] - 1 - i]
 
     def __len__(self):
         return self._ends[-1] if self._ends else 0
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
+            sides = iter(self._decode(
+                [code for k in range(*i.indices(len(self))) for code in self._pair(k)]))
+            return list(zip(sides, sides))
         i = index(i)
         if i < 0:
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError("relation index out of range")
-        j = bisect_right(self._ends, i)
-        a, group, count = self._entries[j]
-        return a, group[self._ends[j] - 1 - i]
+        return tuple(self._decode(self._pair(i)))
 
     def __iter__(self):
-        for a, group, count in self._entries:
-            yield from zip(repeat(a), group[count - 1::-1])
+        # A class's first record (its least member) has the largest count
+        # and its last record count 1, so each class is decoded once and
+        # dropped after its last record.
+        decoded = {}
+        for group, count in zip(self._classes, self._counts):
+            members = decoded.get(id(group))
+            if members is None:
+                members = decoded[id(group)] = self._decode(group)
+            if count == 1:
+                del decoded[id(group)]
+            yield from zip(repeat(members[count]), members[count - 1::-1])
 
     @property
     def classes(self) -> tuple:
         """The sum classes with at least two members, each once, as a tuple
         of its multisets in ascending order; the classes are ordered by
-        least member, which is the first entry that holds the class."""
-        groups = {id(group): group for _, group, _ in self._entries}
-        return tuple(tuple(reversed(group)) for group in groups.values())
+        least member, whose record is the class's first and has count
+        len(class) - 1."""
+        groups = [group for group, count in zip(self._classes, self._counts)
+                  if len(group) - count == 1]
+        codes = groups[0][:0] if groups else []  # empty, of the classes' type
+        for group in groups:
+            codes += group[::-1]
+        members = self._decode(codes)
+        out, start = [], 0
+        for group in groups:
+            end = start + len(group)
+            out.append(tuple(members[start:end]))
+            start = end
+        return tuple(out)
 
 
 def find_binomial_relations(gens, max_side: int = 3) -> BinomialRelations:
@@ -245,15 +313,20 @@ def find_binomial_relations(gens, max_side: int = 3) -> BinomialRelations:
     enough for a sum of max_side entries, so a multiset's sum is an int
     addition and its dictionary key.  The multisets are walked depth-first
     in reverse lexicographic order (larger children first, then the node),
-    and each joins the class of its sum.  The members already in the class
-    when a multiset joins are its larger partners, so their count is
-    recorded with it, and reversing those records once puts them in
-    ascending order; no pair is built until it is read.  The walk raises
-    ResourceLimitError past RELATION_WALK_CAP multisets.  Exponent vectors
-    must be non-negative and of equal length, or the packing is not
+    and each one's int code (see `BinomialRelations`) joins the class of its
+    sum.  The members already in the class when a multiset joins are its
+    larger partners, so a join into a non-empty class appends the class and
+    its length to the two record sequences, which fill in descending order
+    of the joining multiset and are reversed in place at the end.  The walk
+    keeps no tuple or other tracked object per multiset: one class per
+    distinct sum, and ints.  The upper levels run on an explicit stack of
+    ints, so a large max_side cannot reach the recursion limit, and a node
+    one level short of max_side joins its children in one loop.  The walk
+    raises ResourceLimitError past RELATION_WALK_CAP multisets.  Exponent
+    vectors must be non-negative and of equal length, or the packing is not
     injective."""
     if not gens or max_side < 1:
-        return BinomialRelations([])
+        return BinomialRelations([], [], max_side, 1)
     num_vars = len(gens[0])
     if any(len(g) != num_vars for g in gens):
         raise DimensionError("generator exponent vectors differ in length")
@@ -262,34 +335,64 @@ def find_binomial_relations(gens, max_side: int = 3) -> BinomialRelations:
     n = len(gens)
     width = (max_side * max(max(g, default=0) for g in gens)).bit_length() + 1
     packed = [sum(x << (width * i) for i, x in enumerate(g)) for g in gens]
+    field = (n.bit_length() + 7) // 8  # code field bytes: holds index + 1 <= n
+    bits = 8 * field
+    mask = (1 << bits) - 1
+    # A class holds its codes in an array of 8-byte words when they fit one;
+    # a new class starts as a copy of this one-code template.
+    template = array("Q", [0]) if field * max_side <= 8 else [0]
     by_sum = {}
-    entries = []
+    classes, counts = [], array("Q")  # the join records
+    get, add_class, add_count = by_sum.get, classes.append, counts.append
     visited = 0
-    stack = [((), 0, True)]  # (multiset, packed sum, expand or visit)
+    # Flat (key, code, depth) per node: depth k >= 0 to expand it, -k to
+    # join it once its children are done.  Codes here hold a node's k
+    # fields in the low bits; a join shifts them to the top.
+    stack = [0, 0, 0]
+    push, pop = stack.append, stack.pop
     while stack:
-        node, key, expand = stack.pop()
-        if expand:
-            first = node[-1] if node else 0
-            visited += n - first
-            if visited > RELATION_WALK_CAP:
-                raise ResourceLimitError(
-                    f"relation walk passed cap {RELATION_WALK_CAP} multisets",
-                    attempted=visited)
-            grow = len(node) + 1 < max_side
-            for j in range(first, n):
-                child, child_key = node + (j,), key + packed[j]
-                stack.append((child, child_key, False))
-                if grow:
-                    stack.append((child, child_key, True))
+        depth, code, key = pop(), pop(), pop()
+        if depth < 0:
+            code <<= bits * (max_side + depth)
+            group = get(key)
+            if group is None:
+                by_sum[key] = group = template[:]
+                group[0] = code
+            else:
+                add_class(group)
+                add_count(len(group))
+                group.append(code)
             continue
-        group = by_sum.get(key)
-        if group is None:
-            by_sum[key] = [node]
-        else:
-            entries.append((node, group, len(group)))
-            group.append(node)
-    entries.reverse()
-    return BinomialRelations(entries)
+        first = (code & mask) - 1 if depth else 0  # children repeat or exceed it
+        visited += n - first
+        if visited > RELATION_WALK_CAP:
+            raise ResourceLimitError(
+                f"relation walk passed cap {RELATION_WALK_CAP} multisets",
+                attempted=visited)
+        if depth:  # the root is the empty multiset
+            push(key)
+            push(code)
+            push(-depth)
+        code = (code << bits) + 1  # child j's code is code + j
+        if depth < max_side - 1:
+            for j in range(first, n):
+                push(key + packed[j])
+                push(code + j)
+                push(depth + 1)
+            continue
+        for j in range(n - 1, first - 1, -1):  # the children are leaves
+            s = key + packed[j]
+            group = get(s)
+            if group is None:
+                by_sum[s] = group = template[:]
+                group[0] = code + j
+            else:
+                add_class(group)
+                add_count(len(group))
+                group.append(code + j)
+    classes.reverse()
+    counts.reverse()
+    return BinomialRelations(classes, counts, max_side, field)
 
 
 def verify_relations(gens, relations):
@@ -433,7 +536,7 @@ def quotient_model_report(K: Subgroup, model=None):
         "binomial_relations": {
             "count": len(binomials),
             "classes": [
-                ["*".join([names[i] for i in side]) for side in group]
+                ["*".join(map(names.__getitem__, side)) for side in group]
                 for group in binomials.classes
             ],
         },

@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is used in that module, no
-package module imports another's private names, every defaulted parameter
-in the package is set by some caller, and the value types kept by the
-thousand hold no per-instance dict."""
+package module imports another's private names or the gc module, every
+defaulted parameter in the package is set by some caller, and the value
+types kept by the thousand hold no per-instance dict."""
 
 import ast
 from pathlib import Path
@@ -70,6 +70,22 @@ def test_no_private_imports_across_modules():
         for path in sorted((ROOT / "src").rglob("*.py"))
         for line, name in private_imports(path)
     ]
+    assert found == []
+
+
+def imports_gc(path):
+    """Lines of the module that import the gc module."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "gc"]
+
+
+def test_package_leaves_the_collector_alone():
+    # Speed must come from allocating fewer tracked objects: switching the
+    # cyclic collector off would change the caller's whole process.
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line in imports_gc(path)]
     assert found == []
 
 

@@ -229,12 +229,49 @@ def test_binomial_relations_count_the_sum_classes(max_side):
     assert set(rels) == set(binomial_relations_oracle(EXAMPLE_GENERATORS, max_side))
 
 
+@pytest.mark.parametrize("n", [255, 260])
+def test_binomial_relations_past_one_byte_indices(n):
+    # 255 generators fill one-byte code fields (index 254 beside the unused
+    # fields); 260 need two-byte fields.  The zero vector (i = 0) puts
+    # shorter multisets in classes with longer ones.
+    gens = [(i, i * i % 61) for i in range(n)]
+    rels = find_binomial_relations(gens, max_side=2)
+    want = binomial_relations_oracle(gens, 2)
+    assert list(rels) == want
+    assert [list(group) for group in rels.classes] == sorted(
+        group for group in relation_classes_oracle(gens, 2) if len(group) > 1)
+    assert len(rels) == len(want)
+    assert [rels[i] for i in range(-len(want), 0, 97)] == want[::97]
+    assert rels[-1] == want[-1]
+    for k in (1, 7, 1000):
+        assert rels[::k] == want[::k]
+
+
+def test_binomial_relations_wider_than_a_word():
+    # nine one-byte fields: codes no longer fit one 8-byte word
+    gens = [(1, 0), (0, 1), (1, 1), (2, 1)]
+    rels = find_binomial_relations(gens, max_side=9)
+    want = binomial_relations_oracle(gens, 9)
+    assert list(rels) == want
+    assert [list(group) for group in rels.classes] == sorted(
+        group for group in relation_classes_oracle(gens, 9) if len(group) > 1)
+    assert rels[::5] == want[::5]
+    assert rels[-2] == want[-2]
+
+
 def test_binomial_relations_walk_cap(monkeypatch):
     monkeypatch.setattr(invariants, "RELATION_WALK_CAP", 20)
     assert list(find_binomial_relations([(1, 0), (0, 1), (1, 1)], max_side=2)) == [((0, 1), (2,))]
     with pytest.raises(ResourceLimitError) as info:
         find_binomial_relations(EXAMPLE_GENERATORS, max_side=2)
-    assert info.value.attempted > 20
+    # 13 children of the root, then 1, 2, 3 and 4 below its last four
+    assert info.value.attempted == 23
+    # the walk keeps its own stack: a deep walk meets the cap, not the
+    # recursion limit
+    monkeypatch.setattr(invariants, "RELATION_WALK_CAP", 5000)
+    with pytest.raises(ResourceLimitError) as info:
+        find_binomial_relations([(1,)], max_side=100_000)
+    assert info.value.attempted == 5001
 
 
 def test_binomial_relations_input_contract():
