@@ -20,6 +20,7 @@ from genfermat.enumeration import (
     gaussian_binomial,
     necessary_bounds,
 )
+from genfermat.errors import ResourceLimitError
 
 
 def main():
@@ -32,6 +33,8 @@ def main():
     ap.add_argument("--classify", action="store_true",
                     help="also decompose each nonempty cell into orbits")
     args = ap.parse_args()
+    if args.budget < 0:
+        ap.error(f"--budget must be non-negative, got {args.budget}")
 
     for p in args.p:
         for n in range(args.d + 1, args.max_n + 1):
@@ -43,14 +46,15 @@ def main():
                     cell["prunedBy"] = verdict.reason
                     print(json.dumps(cell))
                     continue
-                candidates = gaussian_binomial(n, n - m, p)
-                if candidates > args.budget:
-                    cell["skipped"] = f"{candidates} candidates over budget"
+                t0 = time.perf_counter()
+                task = EnumerationTask(d=args.d, p=p, n=n, m=m, cap_subspaces=args.budget)
+                try:
+                    found = enumerate_all(task)
+                except ResourceLimitError as exc:
+                    cell["skipped"] = f"{exc.attempted} candidates over budget"
                     print(json.dumps(cell))
                     continue
-                t0 = time.perf_counter()
-                found = enumerate_all(EnumerationTask(d=args.d, p=p, n=n, m=m))
-                cell["candidates"] = candidates
+                cell["candidates"] = gaussian_binomial(n, n - m, p)
                 cell["count"] = len(found)
                 if args.classify and found:
                     orbits = classify_orbits(found)

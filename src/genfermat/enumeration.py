@@ -7,20 +7,21 @@ no nonzero combination of at most d of the quotient map's n+1 columns
 vanishes.
 
 Enumeration is one depth-first walk over the reduced-echelon bases of the
-(n-m)-dimensional subspaces of F_p^n (the normalized coordinates of H),
-filling one basis row at a time.  The quotient columns are read off the
-basis without elimination: the non-pivot columns are unit vectors, row i
-alone fixes the column at its pivot, and the last column is minus the sum.
-The walk keeps layered spans L_0 <= ... <= L_{d-1} of the columns placed so
-far (L_r: every combination of at most r of them); a column in L_{d-1} is
-rejected together with every completion of its row prefix.  Freeness is
+(n-m)-dimensional subspaces of F_p^n, each the part of a kernel's lift in
+F_p^{n+1} that is zero at coordinate 0, filling one basis row at a time.
+The quotient columns are read off the basis without elimination: the
+non-pivot columns are unit vectors, row i alone fixes the column at its
+pivot, and the column of coordinate 0 is minus the sum.  The walk keeps
+layered spans L_0 <= ... <= L_{d-1} of the columns placed so far (L_r:
+every combination of at most r of them); a column in L_{d-1} is rejected
+together with every completion of its row prefix.  Freeness is
 cross-checked elsewhere against the element-wise predicate.  The walk packs
 its columns into ints with whole-byte fields (`groups.Packed`, p <= 255),
-so each leaf's lift basis in F_p^{n+1} (the kernel rows and all-ones) is
-read off its columns and their running sum without elimination or
-repacking, and its bytes are gathered straight into the basis rows.  The
-kernels are returned sorted by basis, which is their canonical-key order,
-so no key is built during enumeration.
+so each leaf's lift basis (all-ones reduced against the kernel rows, then
+the kernel rows) is its running sum and its negated columns, with no
+elimination or repacking, and its bytes are gathered straight into the
+basis rows.  The kernels are returned sorted by basis, which is their
+canonical-key order, so no key is built during enumeration.
 
 Classification is up to the S_{n+1} of generator permutations.
 `classify_orbits` closes each orbit under the two standard generators, on
@@ -149,10 +150,11 @@ def _leaves(packed, k, d, placed):
     the leaf's (s_i, c_i) pairs, row k-1 first.  With pivots P and non-pivot
     positions Q = (Q_1..Q_m), the quotient column at Q_t is the unit vector
     e_t, the column at pivot P_i is minus row i restricted to Q, and the
-    dependent column c_{n+1} is minus their sum, so each row fixes one
-    column and the walk never eliminates.  At k = 0 the columns are the m
-    unit vectors and -all-ones, which has support m, so it lies in the span
-    of at most d-1 of them iff m < d."""
+    dependent column c_0 (the lift's coordinate 0, outside the walk) is
+    minus their sum, so each row fixes one column and the walk never
+    eliminates.  At k = 0 the columns are the m unit vectors and -all-ones,
+    which has support m, so it lies in the span of at most d-1 of them iff
+    m < d."""
     if k == 0:
         if packed.m >= d:
             yield packed.ones
@@ -181,7 +183,11 @@ def iter_rref_bases(n: int, k: int, p: int):
 
 def _quotient_columns(basis_rows, n: int, p: int):
     """Columns c_1..c_{n+1} in F_p^m of a quotient map whose kernel has the
-    RREF basis basis_rows, read off the basis as in `_leaves`."""
+    RREF basis basis_rows, the lift with its last coordinate set to zero:
+    the non-pivot columns are unit vectors, the column at pivot P_i is minus
+    row i on the non-pivot coordinates, and c_{n+1} is minus their sum.  The
+    walk (`_leaves`) sets coordinate 0 to zero instead; this independent
+    normalization is the oracle the tests check its leaves against."""
     pivots = [next(j for j, x in enumerate(row) if x) for row in basis_rows]
     free = [q for q in range(n) if q not in pivots]
     m = len(free)
@@ -217,57 +223,42 @@ def subgroup_is_free_dual(K: Subgroup, d: int) -> bool:
 
 def _lift_layout(pattern, n: int, step: int):
     """Where each entry of a lift basis sits in the leaf buffer of
-    `enumerate_all`, for the pivot pattern (t0, s_{k-1}, ..., s_0).  The
-    buffer holds the k kernel rows (row k-1 first) and then u, each as m+1
-    fields of `step` bytes (coordinates Q_0..Q_{m-1}, then n), and then
-    b"\\0\\1".  Returns one itemgetter per basis row, in pivot order."""
-    t0, *ss = pattern
-    k = len(ss)
-    pivots = [s + k - 1 - j for j, s in enumerate(ss)]
+    `enumerate_all`, for the pivot pattern (s_{k-1}, ..., s_0).  Walk
+    coordinate q is lift coordinate q+1.  The buffer holds the k kernel rows
+    (row k-1 first) and then the running total, each as m fields of `step`
+    bytes (the non-pivot coordinates Q), and then b"\\0\\1".  Returns one
+    itemgetter per basis row, in pivot order: all-ones reduced first, then
+    the kernel rows."""
+    k = len(pattern)
+    pivots = [s + i for i, s in enumerate(reversed(pattern))]  # of rows 0..k-1
     free = [q for q in range(n) if q not in pivots]
-    size = step * (len(free) + 1)
+    size = step * len(free)
     zero = (k + 1) * size
-    place = {q: step * t for t, q in enumerate(free)}
-    place[n] = step * len(free)
+    place = {q + 1: step * t for t, q in enumerate(free)}
+    leads = [0] + [P + 1 for P in pivots]
     return [
-        itemgetter(*[zero + 1 if x == lead else zero if x in pivots else size * seg + place[x]
+        itemgetter(*[zero + 1 if x == lead else zero if x in leads else size * seg + place[x]
                      for x in range(n + 1)])
-        for lead, seg in sorted(zip(pivots + [free[t0]], range(k + 1)))
+        for lead, seg in zip(leads, range(k, -1, -1))
     ]
-
-
-def _lift_lead(wide, t: int):
-    """What a leaf of `enumerate_all` needs from t, its running total with
-    a 1 in field m: the lowest nonzero field t0, the bytes of u = t scaled
-    to 1 there, and the correction fix[j] = f*u for a row whose field t0
-    holds j = p - f (an unreduced -f)."""
-    p, w = wide.p, wide.w
-    t0 = ((t & -t).bit_length() - 1) // w
-    inv = pow((t >> (w * t0)) & ((1 << w) - 1), -1, p)
-    mults = wide.multiples(t)
-    fix = [mults[j * (p - inv) % p] for j in range(p + 1)]
-    return t0, mults[inv].to_bytes(w // 8 * wide.m, "little"), fix
 
 
 def enumerate_all(task: EnumerationTask, prune: bool = True):
     """All of F(d;p,n,m), sorted by lift basis, which is the order of their
     canonical keys (`groups.canonical_key`).  Walks the (n-m)-dimensional
-    subspaces of F_p^n under the subspace cap, pruning every row prefix
-    whose quotient columns already fail freeness, and builds each lift basis
-    in F_p^{n+1} at the walk's leaf, from the columns c_i and the running
-    total = all-ones + sum c_i:
-    - all-ones reduced against the kernel rows (pivot entry 1, -c_i on the
-      non-pivot coordinates Q, 0 at coordinate n) is total on Q and 1 at n;
-      total is nonzero, as c_{n+1} = -total is free, so its lowest nonzero
-      field t0 gives the lead Q_{t0}, and u is that vector scaled to 1 there;
-    - kernel row i becomes -c_i + c_{i,t0} u, zero at Q_{t0}.
-    These rows are reduced echelon once sorted by pivot, so a leaf only does
-    field arithmetic on packed ints with whole-byte fields
-    (`Packed.byte_fields`, one field per coordinate of Q and one for n) and
-    gathers their bytes into the basis rows.  The walk packs its columns
-    with the same fields, so every column and total is already in that
-    layout, with the field of n zero.  The bases of one call share one
-    tuple per distinct row, and the list of kernels is all that is kept."""
+    subspaces W = L ∩ {x_0 = 0} of the lifts L (walk coordinate q is lift
+    coordinate q+1) under the subspace cap, pruning every row prefix whose
+    quotient columns already fail freeness, and reads each lift basis in
+    F_p^{n+1} off the walk's leaf.  L = W + <all-ones>, so its reduced
+    echelon basis is
+    - all-ones reduced against the kernel rows: 1 at coordinate 0, 0 at
+      their pivots, and the running total = all-ones + sum c_i on the
+      non-pivot coordinates Q;
+    - the kernel rows: 1 at their pivots and -c_i on Q.
+    A leaf only negates its packed columns (`Packed.byte_fields`, one field
+    per coordinate of Q, the walk's own packing) and gathers their bytes
+    into the basis rows.  The bases of one call share one tuple per
+    distinct row, and the list of kernels is all that is kept."""
     if prune and not necessary_bounds(task.d, task.p, task.n, task.m).possibly_nonempty:
         return []
     n, p, m = task.n, task.p, task.m
@@ -279,34 +270,26 @@ def enumerate_all(task: EnumerationTask, prune: bool = True):
             attempted=count,
         )
     params = task.params
-    wide = Packed.byte_fields(p, m + 1)
-    w = wide.w
-    size, mask = w // 8 * (m + 1), (1 << w) - 1
-    high, bias, sh = wide.high, wide.bias, w - 1
-    at_n = 1 << (w * m)
-    neg = (wide.ones - at_n) * p  # neg - c is -c with fields in [1, p]
-    leads = {}
+    packed = Packed.byte_fields(p, m)
+    step = packed.w // 8
+    size = step * m
+    high, bias, sh = packed.high, packed.bias, packed.w - 1
+    neg = packed.ones * p  # neg - c is -c with fields in [1, p]
     layouts = {}
     shared = {}  # one tuple per distinct basis row, which every basis reuses
     share = shared.setdefault
     found = []
     placed = []
-    for total in _leaves(Packed.byte_fields(p, m), k, task.d, placed):
-        lead = leads.get(total)
-        if lead is None:
-            lead = leads[total] = _lift_lead(wide, total + at_n)
-        t0, u, fix = lead
-        shift = w * t0
+    for total in _leaves(packed, k, task.d, placed):
         rows = []
         for _, c in placed:
             r = neg - c
-            r += fix[(r >> shift) & mask]
             rows.append((r - (((r + bias) & high) >> sh) * p).to_bytes(size, "little"))
-        rows += (u, b"\0\1")
-        pattern = (t0, *[s for s, _ in placed])
+        rows += (total.to_bytes(size, "little"), b"\0\1")
+        pattern = tuple([s for s, _ in placed])
         layout = layouts.get(pattern)
         if layout is None:
-            layout = layouts[pattern] = _lift_layout(pattern, n, w // 8)
+            layout = layouts[pattern] = _lift_layout(pattern, n, step)
         buf = b"".join(rows)
         basis = [g(buf) for g in layout]
         found.append(Subgroup(tuple(map(share, basis, basis)), params))
@@ -481,6 +464,10 @@ def canonical_orbit_key(K: Subgroup) -> bytes:
     information sets of K's lift basis (`_least_orbit_form`), at most
     C(n+1, k+1) <= INFORMATION_SET_CAP eliminations of k+1 packed rows and a
     pruned search over their row orders, with no orbit closure."""
+    if K.params.p > 255:
+        raise UnsupportedParameterError(
+            f"canonical keys hold one byte per entry, so p <= 255, got {K.params.p}"
+        )
     count = comb(K.params.n + 1, len(K.basis))
     if count > INFORMATION_SET_CAP:
         raise ResourceLimitError(

@@ -221,7 +221,7 @@ def test_dual_matches_elementwise_on_sweep():
 
 def test_enumerate_all_lifts_match_elimination():
     # the lift built at the walk's leaf is the basis a full elimination gives
-    for d, p, n, m in SWEEP + WIDE_CELLS + EDGE_CELLS:
+    for d, p, n, m in SWEEP + WIDE_CELLS + EDGE_CELLS + [(2, 7, 4, 3)]:
         task = EnumerationTask(d=d, p=p, n=n, m=m)
         candidates = (subgroup_from_lift_rows([row + (0,) for row in basis], task.params)
                       for basis in iter_rref_bases(n, n - m, p))
@@ -266,6 +266,16 @@ def test_kernel_storage_bytes():
     assert held / len(found) < 150
     # nothing but the kernels grows with the walk: the peak is about 1.16x
     assert peak <= 1.4 * held
+    # nor with the number of distinct running totals, which nears the number
+    # of kernels at p = 7: the peak is about 1.32x
+    tracemalloc.start()
+    try:
+        found = enumerate_all(EnumerationTask(2, 7, 5, 4))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 2705
+    assert peak <= 1.6 * held
 
 
 def test_orbit_members_are_the_input_index_keys(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from genfermat.enumeration import canonical_orbit_key
 from genfermat.errors import DimensionError, ParameterError, UnsupportedParameterError
 from genfermat.groups import (
     GeneratorPermutation,
@@ -186,6 +187,10 @@ def test_canonical_key_rejects_entries_above_255():
     assert K.basis[1] == (0, 1, 256, 0)
     with pytest.raises(UnsupportedParameterError):
         subgroup_canonical_key(K)
+    # entries below 256 whose least orbit form has larger ones
+    L = subgroup_from_lift_rows([(1, 2, 3, 0)], GroupParams(p=257, n=3, d=1))
+    with pytest.raises(UnsupportedParameterError):
+        canonical_orbit_key(L)
 
 
 def test_subgroup_elements_count(p2n6):

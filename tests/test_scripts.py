@@ -36,6 +36,19 @@ def test_sweep_free_subgroups():
     assert {(r["n"], r["m"]): r["count"] for r in rows}[(5, 4)] == 10
 
 
+def test_sweep_free_subgroups_budget():
+    rows = run_script("sweep_free_subgroups.py", "--d", "2", "--p", "3",
+                      "--max-n", "5", "--budget", "50")
+    skipped = {(r["n"], r["m"]): r for r in rows if "skipped" in r}
+    assert skipped == {
+        (5, 3): {"d": 2, "p": 3, "n": 5, "m": 3, "skipped": "1210 candidates over budget"},
+        (5, 4): {"d": 2, "p": 3, "n": 5, "m": 4, "skipped": "121 candidates over budget"},
+    }
+    assert {(r["n"], r["m"]): r["candidates"] for r in rows if "candidates" in r} == {
+        (3, 3): 1, (4, 3): 40, (4, 4): 1, (5, 5): 1,
+    }
+
+
 def test_sweep_cohomology():
     rows = run_script("sweep_cohomology.py", "--d", "2", "--max-p", "3", "--max-n", "4")
     assert [(r["p"], r["n"]) for r in rows] == [(2, 3), (2, 4), (3, 3), (3, 4)]
