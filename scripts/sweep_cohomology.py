@@ -13,6 +13,7 @@ import argparse
 import json
 
 from genfermat.cohomology import genus_profile, hyperbolicity_verdict, plurigenus
+from genfermat.errors import ParameterError
 
 
 def main():
@@ -23,16 +24,23 @@ def main():
     ap.add_argument("--plurigenera", type=int, default=3,
                     help="how many plurigenera P_1..P_k to include")
     args = ap.parse_args()
+    if args.plurigenera < 0:
+        ap.error(f"--plurigenera must be non-negative, got {args.plurigenera}")
 
-    for p in range(2, args.max_p + 1):
-        for n in range(args.d + 1, args.max_n + 1):
-            prof = genus_profile(args.d, p, n)
-            row = prof.to_json()
-            row["hyperbolicity"] = hyperbolicity_verdict(args.d, p, n).to_json()
-            row["plurigenera"] = [
-                plurigenus(args.d, p, n, m) for m in range(1, args.plurigenera + 1)
-            ]
-            print(json.dumps(row))
+    try:  # every row is computed before any is printed
+        rows = []
+        for p in range(2, args.max_p + 1):
+            for n in range(args.d + 1, args.max_n + 1):
+                row = genus_profile(args.d, p, n).to_json()
+                row["hyperbolicity"] = hyperbolicity_verdict(args.d, p, n).to_json()
+                row["plurigenera"] = [
+                    plurigenus(args.d, p, n, m) for m in range(1, args.plurigenera + 1)
+                ]
+                rows.append(row)
+    except ParameterError as exc:
+        ap.error(str(exc))
+    for row in rows:
+        print(json.dumps(row))
 
 
 if __name__ == "__main__":

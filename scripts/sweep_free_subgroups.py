@@ -20,7 +20,7 @@ from genfermat.enumeration import (
     gaussian_binomial,
     necessary_bounds,
 )
-from genfermat.errors import ResourceLimitError
+from genfermat.errors import ParameterError, ResourceLimitError
 
 
 def main():
@@ -36,31 +36,38 @@ def main():
     if args.budget < 0:
         ap.error(f"--budget must be non-negative, got {args.budget}")
 
-    for p in args.p:
-        for n in range(args.d + 1, args.max_n + 1):
-            for m in range(1, n + 1):
-                verdict = necessary_bounds(args.d, p, n, m)
-                cell = {"d": args.d, "p": p, "n": n, "m": m}
-                if not verdict.possibly_nonempty:
-                    cell["count"] = 0
-                    cell["prunedBy"] = verdict.reason
-                    print(json.dumps(cell))
-                    continue
-                t0 = time.perf_counter()
-                task = EnumerationTask(d=args.d, p=p, n=n, m=m, cap_subspaces=args.budget)
-                try:
-                    found = enumerate_all(task)
-                except ResourceLimitError as exc:
-                    cell["skipped"] = f"{exc.attempted} candidates over budget"
-                    print(json.dumps(cell))
-                    continue
-                cell["candidates"] = gaussian_binomial(n, n - m, p)
-                cell["count"] = len(found)
-                if args.classify and found:
-                    orbits = classify_orbits(found)
-                    cell["orbits"] = [o.orbit_size for o in orbits]
-                cell["elapsed_ms"] = round((time.perf_counter() - t0) * 1000, 1)
-                print(json.dumps(cell))
+    try:  # every cell is checked before any is run
+        grid = [
+            (EnumerationTask(d=args.d, p=p, n=n, m=m, cap_subspaces=args.budget),
+             necessary_bounds(args.d, p, n, m))
+            for p in args.p
+            for n in range(args.d + 1, args.max_n + 1)
+            for m in range(1, n + 1)
+        ]
+    except ParameterError as exc:
+        ap.error(str(exc))
+
+    for task, verdict in grid:
+        cell = {"d": task.d, "p": task.p, "n": task.n, "m": task.m}
+        if not verdict.possibly_nonempty:
+            cell["count"] = 0
+            cell["prunedBy"] = verdict.reason
+            print(json.dumps(cell))
+            continue
+        t0 = time.perf_counter()
+        try:
+            found = enumerate_all(task)
+        except ResourceLimitError as exc:
+            cell["skipped"] = f"{exc.attempted} candidates over budget"
+            print(json.dumps(cell))
+            continue
+        cell["candidates"] = gaussian_binomial(task.n, task.n - task.m, task.p)
+        cell["count"] = len(found)
+        if args.classify and found:
+            orbits = classify_orbits(found)
+            cell["orbits"] = [o.orbit_size for o in orbits]
+        cell["elapsed_ms"] = round((time.perf_counter() - t0) * 1000, 1)
+        print(json.dumps(cell))
 
 
 if __name__ == "__main__":

@@ -17,11 +17,14 @@ every combination of at most r of them); a column in L_{d-1} is rejected
 together with every completion of its row prefix.  Freeness is
 cross-checked elsewhere against the element-wise predicate.  The walk packs
 its columns into ints with whole-byte fields (`groups.Packed`, p <= 255),
-so each leaf's lift basis (all-ones reduced against the kernel rows, then
-the kernel rows) is its running sum and its negated columns, with no
-elimination or repacking, and its bytes are gathered straight into the
-basis rows.  The kernels are returned sorted by basis, which is their
-canonical-key order, so no key is built during enumeration.
+so a lift basis (all-ones reduced against the kernel rows, then the kernel
+rows) is the running sum and the negated columns, with no elimination or
+repacking, their bytes gathered straight into the basis rows.  A kernel
+row is known once the walk places it, as the rows above fix every pivot
+right of its own, so the walk builds it there, once for its whole
+subtree, and a leaf builds only its own row and the all-ones row.  The
+kernels are returned sorted by basis, which is their canonical-key order,
+so no key is built during enumeration.
 
 Classification is up to the S_{n+1} of generator permutations.
 `classify_orbits` closes each orbit under the two standard generators, on
@@ -123,46 +126,100 @@ def necessary_bounds(d: int, p: int, n: int, m: int) -> Verdict:
 # The pruned walk over RREF bases
 # ---------------------------------------------------------------------------
 
-def _walk(row, hi, packed, vecs, spans, total, placed):
-    """Place basis rows row, row-1, ..., 0 below the rows already in
-    `placed`, yielding the final running total (all-ones plus every column)
-    each time `placed` is complete.  Row i has s_i <= s_{i+1} = hi non-pivot
-    positions before its pivot, and its quotient column is any vector
-    supported on coordinates s_i..m-1.  A column in the top span is rejected
-    together with every completion of the prefix."""
+def _row_getter(packed, n: int, P: int, t: int, pivots):
+    """An itemgetter that reads a lift row in F_p^{n+1} off the bytes of a
+    packed vector on the non-pivot coordinates Q followed by the bytes 0
+    and 1 (`_walk`'s row buffers): the row has its leading 1 at walk
+    coordinate P (lift coordinate P+1, so P = -1 is coordinate 0), zeros
+    left of it and at `pivots`, and the fields of Q from index t on at the
+    other coordinates right of it."""
+    step = packed.w // 8
+    size = step * packed.m
+    at = []
+    for q in range(-1, n):
+        if q < P or q in pivots:
+            at.append(size)
+        elif q == P:
+            at.append(size + 1)
+        else:
+            at.append(step * t)
+            t += 1
+    return itemgetter(*at)
+
+
+def _walk(row, hi, packed, vecs, spans, total, tail, node, above, share):
+    """Place basis rows row, row-1, ..., 0 below the rows in `tail`,
+    yielding the lift basis in F_p^{n+1} each time row 0 is placed.  Row i
+    has s_i <= s_{i+1} = hi non-pivot positions before its pivot P_i = s_i
+    + i, and its quotient column c is any vector supported on coordinates
+    s_i..m-1.  A column in the top span is rejected together with every
+    completion of the prefix.
+
+    Kernel row i is 1 at P_i, zero at the pivots `above` it (all right of
+    P_i) and -c on the non-pivot coordinates right of P_i, so it is built
+    here, once, as the tuple `share` keeps, and passed down in `tail`.  A
+    leaf builds its own row and row 0 of the lift, all-ones reduced: 1 at
+    coordinate 0, zero at every pivot and the final running total
+    (all-ones plus every column) on Q.  Rows are read off the bytes of
+    packed vectors by the getters of `node`, one per s, built on first use
+    for the s-prefix placed so far."""
+    p, high, bias, sh = packed.p, packed.high, packed.bias, packed.w - 1
+    nbytes = packed.w // 8 * packed.m + 2
+    one = 1 << (8 * nbytes - 8)  # the bytes 0 and 1 after the fields
+    neg = packed.ones * p + one  # neg - c is -c with fields in [1, p]
     for s in range(hi + 1):
-        for c in islice(vecs, packed.p ** (packed.m - s)):
-            if c in spans[-1]:
-                continue
-            placed.append((s, c))
+        entry = node.get(s)
+        if entry is None:
+            n = packed.m + row + 1 + len(above)  # k = row + 1 + len(above)
+            get = _row_getter(packed, n, s + row, s, above)
             if row:
+                entry = node[s] = (get, {}, above + (s + row,))
+            else:
+                entry = node[s] = (get, _row_getter(packed, n, -1, 0, above + (s,)))
+        cols = islice(vecs, p ** (packed.m - s))
+        if row:
+            get, below, pivots = entry
+            for c in cols:
+                if c in spans[-1]:
+                    continue
+                r = neg - c
+                r = get((r - (((r + bias) & high) >> sh) * p).to_bytes(nbytes, "little"))
                 added = packed.grow(spans, c)
-                yield from _walk(row - 1, s, packed, vecs, spans, packed.add(total, c), placed)
+                yield from _walk(row - 1, s, packed, vecs, spans, packed.add(total, c),
+                                 (share(r, r),) + tail, below, pivots, share)
                 packed.shrink(spans, added)
-            elif packed.closes(spans, total, c):
-                yield packed.add(total, c)
-            placed.pop()
+        else:
+            get, get_top = entry
+            for c in cols:
+                if c in spans[-1] or not packed.closes(spans, total, c):
+                    continue
+                r = neg - c
+                r = get((r - (((r + bias) & high) >> sh) * p).to_bytes(nbytes, "little"))
+                t = total + c + one
+                t = get_top((t - (((t + bias) & high) >> sh) * p).to_bytes(nbytes, "little"))
+                yield (share(t, t), share(r, r)) + tail
 
 
-def _leaves(packed, k, d, placed):
+def _leaves(packed, k, d, share):
     """The walk over k basis rows with d-free quotient columns in `packed`'s
-    F_p^m: yield its final running total at each leaf, with `placed` holding
-    the leaf's (s_i, c_i) pairs, row k-1 first.  With pivots P and non-pivot
-    positions Q = (Q_1..Q_m), the quotient column at Q_t is the unit vector
-    e_t, the column at pivot P_i is minus row i restricted to Q, and the
-    dependent column c_0 (the lift's coordinate 0, outside the walk) is
-    minus their sum, so each row fixes one column and the walk never
-    eliminates.  At k = 0 the columns are the m unit vectors and -all-ones,
-    which has support m, so it lies in the span of at most d-1 of them iff
-    m < d."""
+    F_p^m: yield the lift basis of each leaf's kernel, each row the tuple
+    `share` keeps.  With pivots P and non-pivot positions Q = (Q_1..Q_m),
+    the quotient column at Q_t is the unit vector e_t, the column at pivot
+    P_i is minus row i restricted to Q, and the dependent column c_0 (the
+    lift's coordinate 0, outside the walk) is minus their sum, so each row
+    fixes one column and the walk never eliminates.  At k = 0 the columns
+    are the m unit vectors and -all-ones, which has support m, so it lies
+    in the span of at most d-1 of them iff m < d, and the lift is
+    all-ones."""
     if k == 0:
         if packed.m >= d:
-            yield packed.ones
+            yield ((1,) * (packed.m + 1),)
         return
     spans = [{0} for _ in range(d)]
     for t in range(packed.m):
         packed.grow(spans, 1 << (packed.w * t))
-    yield from _walk(k - 1, packed.m, packed, packed.vectors(), spans, packed.ones, placed)
+    yield from _walk(k - 1, packed.m, packed, packed.vectors(), spans, packed.ones, (), {}, (),
+                     share)
 
 
 def iter_rref_bases(n: int, k: int, p: int):
@@ -221,44 +278,22 @@ def subgroup_is_free_dual(K: Subgroup, d: int) -> bool:
     return _columns_free(cols, d, K.params.p)
 
 
-def _lift_layout(pattern, n: int, step: int):
-    """Where each entry of a lift basis sits in the leaf buffer of
-    `enumerate_all`, for the pivot pattern (s_{k-1}, ..., s_0).  Walk
-    coordinate q is lift coordinate q+1.  The buffer holds the k kernel rows
-    (row k-1 first) and then the running total, each as m fields of `step`
-    bytes (the non-pivot coordinates Q), and then b"\\0\\1".  Returns one
-    itemgetter per basis row, in pivot order: all-ones reduced first, then
-    the kernel rows."""
-    k = len(pattern)
-    pivots = [s + i for i, s in enumerate(reversed(pattern))]  # of rows 0..k-1
-    free = [q for q in range(n) if q not in pivots]
-    size = step * len(free)
-    zero = (k + 1) * size
-    place = {q + 1: step * t for t, q in enumerate(free)}
-    leads = [0] + [P + 1 for P in pivots]
-    return [
-        itemgetter(*[zero + 1 if x == lead else zero if x in leads else size * seg + place[x]
-                     for x in range(n + 1)])
-        for lead, seg in zip(leads, range(k, -1, -1))
-    ]
-
-
 def enumerate_all(task: EnumerationTask, prune: bool = True):
     """All of F(d;p,n,m), sorted by lift basis, which is the order of their
     canonical keys (`groups.canonical_key`).  Walks the (n-m)-dimensional
     subspaces W = L ∩ {x_0 = 0} of the lifts L (walk coordinate q is lift
     coordinate q+1) under the subspace cap, pruning every row prefix whose
-    quotient columns already fail freeness, and reads each lift basis in
-    F_p^{n+1} off the walk's leaf.  L = W + <all-ones>, so its reduced
+    quotient columns already fail freeness, and takes each lift basis in
+    F_p^{n+1} from the walk's leaf.  L = W + <all-ones>, so its reduced
     echelon basis is
     - all-ones reduced against the kernel rows: 1 at coordinate 0, 0 at
       their pivots, and the running total = all-ones + sum c_i on the
       non-pivot coordinates Q;
     - the kernel rows: 1 at their pivots and -c_i on Q.
-    A leaf only negates its packed columns (`Packed.byte_fields`, one field
-    per coordinate of Q, the walk's own packing) and gathers their bytes
-    into the basis rows.  The bases of one call share one tuple per
-    distinct row, and the list of kernels is all that is kept."""
+    The walk builds each kernel row once, where it places it, and a leaf
+    only the last kernel row and the all-ones row (`_walk`).  The bases of
+    one call share one tuple per distinct row, and the list of kernels is
+    all that is kept."""
     if prune and not necessary_bounds(task.d, task.p, task.n, task.m).possibly_nonempty:
         return []
     n, p, m = task.n, task.p, task.m
@@ -270,29 +305,9 @@ def enumerate_all(task: EnumerationTask, prune: bool = True):
             attempted=count,
         )
     params = task.params
-    packed = Packed.byte_fields(p, m)
-    step = packed.w // 8
-    size = step * m
-    high, bias, sh = packed.high, packed.bias, packed.w - 1
-    neg = packed.ones * p  # neg - c is -c with fields in [1, p]
-    layouts = {}
     shared = {}  # one tuple per distinct basis row, which every basis reuses
-    share = shared.setdefault
-    found = []
-    placed = []
-    for total in _leaves(packed, k, task.d, placed):
-        rows = []
-        for _, c in placed:
-            r = neg - c
-            rows.append((r - (((r + bias) & high) >> sh) * p).to_bytes(size, "little"))
-        rows += (total.to_bytes(size, "little"), b"\0\1")
-        pattern = tuple([s for s, _ in placed])
-        layout = layouts.get(pattern)
-        if layout is None:
-            layout = layouts[pattern] = _lift_layout(pattern, n, step)
-        buf = b"".join(rows)
-        basis = [g(buf) for g in layout]
-        found.append(Subgroup(tuple(map(share, basis, basis)), params))
+    packed = Packed.byte_fields(p, m)
+    found = [Subgroup(basis, params) for basis in _leaves(packed, k, task.d, shared.setdefault)]
     found.sort(key=attrgetter("basis"))
     return found
 

@@ -1,6 +1,7 @@
 """Subgroup enumeration checked against an elementwise oracle, orbits, and
 families."""
 
+import gc
 import time
 import tracemalloc
 from itertools import combinations, permutations
@@ -220,8 +221,10 @@ def test_dual_matches_elementwise_on_sweep():
 
 
 def test_enumerate_all_lifts_match_elimination():
-    # the lift built at the walk's leaf is the basis a full elimination gives
-    for d, p, n, m in SWEEP + WIDE_CELLS + EDGE_CELLS + [(2, 7, 4, 3)]:
+    # the lift built along the walk is the basis a full elimination gives;
+    # (2,5,5,2) has rows built above the leaf at p > 3 (k = 3, 20,306
+    # candidates)
+    for d, p, n, m in SWEEP + WIDE_CELLS + EDGE_CELLS + [(2, 7, 4, 3), (2, 5, 5, 2)]:
         task = EnumerationTask(d=d, p=p, n=n, m=m)
         candidates = (subgroup_from_lift_rows([row + (0,) for row in basis], task.params)
                       for basis in iter_rref_bases(n, n - m, p))
@@ -276,6 +279,20 @@ def test_kernel_storage_bytes():
         tracemalloc.stop()
     assert len(found) == 2705
     assert peak <= 1.6 * held
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    # the walk is a module-level generator: a nested recursive closure would
+    # form a cycle that keeps the walk's getters and spans alive until the
+    # cyclic collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        for d, p, n, m in [(2, 3, 6, 4), (3, 5, 6, 5), (2, 7, 5, 4)]:
+            assert enumerate_all(EnumerationTask(d, p, n, m))
+            assert gc.collect() == 0, (d, p, n, m)
+    finally:
+        gc.enable()
 
 
 def test_orbit_members_are_the_input_index_keys(monkeypatch):

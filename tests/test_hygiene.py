@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module, no
 package module imports another's private names or the gc module, every
-defaulted parameter in the package is set by some caller, and the value
-types kept by the thousand hold no per-instance dict."""
+defaulted parameter in the package is set by some caller, the value types
+kept by the thousand hold no per-instance dict, and every source parses as
+the oldest Python that pyproject.toml allows."""
 
 import ast
 from pathlib import Path
@@ -78,6 +79,17 @@ def imports_gc(path):
     return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
             or isinstance(node, ast.ImportFrom) and node.module == "gc"]
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10
+    found = []
+    for path in sorted(p for d in SCANNED + ("bench",) for p in (ROOT / d).rglob("*.py")):
+        try:
+            ast.parse(path.read_text(), feature_version=(3, 10))
+        except SyntaxError as exc:
+            found.append(f"{path.relative_to(ROOT)}:{exc.lineno}")
+    assert found == []
 
 
 def test_package_leaves_the_collector_alone():

@@ -10,14 +10,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run(name, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def run_script(name, *args):
+    proc = run(name, *args)
     assert proc.returncode == 0, proc.stderr
     return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def assert_usage_error(name, *args, message):
+    # a usage error exits 2 before any row is printed, with no traceback
+    proc = run(name, *args)
+    assert (proc.returncode, proc.stdout) == (2, ""), (args, proc.stderr)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].endswith(message), (args, proc.stderr)
 
 
 def test_sweep_free_subgroups():
@@ -49,6 +61,14 @@ def test_sweep_free_subgroups_budget():
     }
 
 
+def test_sweep_free_subgroups_rejects_bad_parameters():
+    script = "sweep_free_subgroups.py"
+    assert_usage_error(script, "--p", "4", message="requires p prime, got 4")
+    assert_usage_error(script, "--p", "2", "4", message="requires p prime, got 4")
+    assert_usage_error(script, "--p", "257", message="so p <= 255, got 257")
+    assert_usage_error(script, "--d", "0", message="bad task parameters d=0, n=1, m=1")
+
+
 def test_sweep_cohomology():
     rows = run_script("sweep_cohomology.py", "--d", "2", "--max-p", "3", "--max-n", "4")
     assert [(r["p"], r["n"]) for r in rows] == [(2, 3), (2, 4), (3, 3), (3, 4)]
@@ -57,3 +77,10 @@ def test_sweep_cohomology():
     for row in rows:
         assert set(row) == keys
         assert len(row["plurigenera"]) == 3
+
+
+def test_sweep_cohomology_rejects_bad_parameters():
+    script = "sweep_cohomology.py"
+    assert_usage_error(script, "--d", "0", message="profile requires d >= 2, got 0")
+    assert_usage_error(script, "--plurigenera", "-1",
+                       message="--plurigenera must be non-negative, got -1")
