@@ -39,6 +39,8 @@ def main():
                 rows.append(row)
     except ParameterError as exc:
         ap.error(str(exc))
+    if not rows:
+        ap.error(f"empty grid: need --max-p >= 2 and --max-n > --d = {args.d}")
     for row in rows:
         print(json.dumps(row))
 

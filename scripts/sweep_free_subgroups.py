@@ -46,6 +46,8 @@ def main():
         ]
     except ParameterError as exc:
         ap.error(str(exc))
+    if not grid:
+        ap.error(f"empty grid: need --max-n > --d = {args.d}")
 
     for task, verdict in grid:
         cell = {"d": task.d, "p": task.p, "n": task.n, "m": task.m}

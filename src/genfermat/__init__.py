@@ -11,15 +11,9 @@ from .groups import (  # noqa: F401
     Subgroup,
     GeneratorPermutation,
     elem_normalize,
-    elem_mul,
-    elem_inv,
-    elem_order,
-    identity,
     generator,
     word,
     subgroup_from_generators,
-    subgroup_contains,
-    subgroup_order,
     quotient_rank,
     subgroup_canonical_key,
     autg_apply,

@@ -12,11 +12,12 @@ import sys
 import time
 
 from . import __version__
-from .cohomology import genus_profile, hyperbolicity_verdict, plurigenus
+from .cohomology import genus_profile, h0_twist, hyperbolicity_verdict, plurigenus
 from .enumeration import EnumerationTask, enumeration_report
 from .errors import ParameterError, ResourceLimitError, VerificationError
 from .fixed_points import strata_report
 from .geometry import (
+    FIBER_CAP,
     ProjectivePoint,
     arrangement_from_json,
     arrangement_to_json,
@@ -91,8 +92,6 @@ def cmd_cohomology(args):
     prof = genus_profile(args.d, args.p, args.n)
     results = prof.to_json()
     if args.r is not None:
-        from .cohomology import h0_twist
-
         results["h0"] = {"r": args.r, "value": h0_twist(args.d, args.p, args.n, args.r)}
     if args.m is not None:
         results["plurigenus"] = {"m": args.m, "value": plurigenus(args.d, args.p, args.n, args.m)}
@@ -180,12 +179,12 @@ def build_parser():
 
     sp = sub.add_parser("enumerate", help="enumerate freely-acting subgroups")
     add_common(sp, d=True, p=True, n=True, m=True)
-    sp.add_argument("--cap-subspaces", type=int, default=2_000_000)
+    sp.add_argument("--cap-subspaces", type=int, default=EnumerationTask.cap_subspaces)
     sp.set_defaults(func=cmd_enumerate, classify=False)
 
     sp = sub.add_parser("classify", help="enumerate and classify into permutation orbits")
     add_common(sp, d=True, p=True, n=True, m=True)
-    sp.add_argument("--cap-subspaces", type=int, default=2_000_000)
+    sp.add_argument("--cap-subspaces", type=int, default=EnumerationTask.cap_subspaces)
     sp.set_defaults(func=cmd_enumerate, classify=True)
 
     sp = sub.add_parser("cohomology", help="cohomological invariants")
@@ -210,7 +209,7 @@ def build_parser():
     sp.add_argument("--lambda", dest="lam", default=None)
     sp.add_argument("--point", required=True,
                     help="comma-separated base-point coordinates (d+1 complex numbers)")
-    sp.add_argument("--cap-elements", type=int, default=2 ** 20)
+    sp.add_argument("--cap-elements", type=int, default=FIBER_CAP)
     sp.set_defaults(func=cmd_fiber)
 
     sp = sub.add_parser("invariants", help="invariant-monomial quotient model")

@@ -223,11 +223,12 @@ def _leaves(packed, k, d, share):
 
 
 def iter_rref_bases(n: int, k: int, p: int):
-    """Yield the unique RREF basis (k rows of length n) of every
-    k-dimensional subspace of F_p^n by brute force: every pivot set, and
-    every filling of the entries right of a pivot outside the pivot
-    columns.  The tests' enumerator and elimination oracle; it shares
-    nothing with the walk."""
+    """Oracle: every k-dimensional subspace of F_p^n, by brute force.
+
+    Yields the unique RREF basis (k rows of length n) of each: every pivot
+    set, and every filling of the entries right of a pivot outside the
+    pivot columns.  It shares nothing with the walk; the tests filter its
+    bases by elimination and compare with `enumerate_all`."""
     for pivots in combinations(range(n), k):
         slots = [(i, q) for i, P in enumerate(pivots)
                  for q in range(P + 1, n) if q not in pivots]
@@ -271,8 +272,11 @@ def _columns_free(cols, d: int, p: int) -> bool:
 
 
 def subgroup_is_free_dual(K: Subgroup, d: int) -> bool:
-    """Dual-route freeness check on the quotient columns of K (no element
-    enumeration)."""
+    """Oracle: whether K acts freely, by the dual route on K alone.
+
+    Checks the quotient columns of K (no element enumeration) with the
+    normalization of `_quotient_columns`, not the walk's; the tests check
+    every kernel the walk keeps, and elimination's candidates, with it."""
     basis = tuple(row[:-1] for row in subgroup_element_basis(K))
     cols = _quotient_columns(basis, K.params.n, K.params.p)
     return _columns_free(cols, d, K.params.p)

@@ -14,19 +14,6 @@ from .groups import GroupElement, Subgroup, subgroup_elements
 
 
 @dataclass(frozen=True)
-class LevelSets:
-    """Partition of the 1-based index set {1,...,n+1} by exponent value,
-    computed on the normalized (last entry 0) representative."""
-
-    by_value: dict  # residue -> sorted tuple of 1-based indices
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "by_value", {k: tuple(v) for k, v in self.by_value.items()}
-        )
-
-
-@dataclass(frozen=True)
 class FixedStratum:
     label: int  # residue value l
     indices: tuple  # 1-based indices of the level set
@@ -34,11 +21,12 @@ class FixedStratum:
     induced_type: tuple  # (dim; p, |L_l| - 1)
 
 
-def level_sets(x: GroupElement) -> LevelSets:
-    by_value = {}
-    for i, e in enumerate(x.exponents, start=1):
-        by_value.setdefault(e, []).append(i)
-    return LevelSets(by_value=by_value)
+def level_sets(x: GroupElement) -> dict:
+    """Partition of the 1-based index set {1,...,n+1} by exponent value, on
+    the normalized (last entry 0) representative: residue -> sorted tuple
+    of 1-based indices."""
+    return {e: tuple(i for i, f in enumerate(x.exponents, start=1) if f == e)
+            for e in dict.fromkeys(x.exponents)}
 
 
 def _check_nontrivial(x: GroupElement, d: int):
@@ -66,8 +54,8 @@ def fixed_locus_strata(x: GroupElement, d: int):
     p = x.params.p
     ls = level_sets(x)
     strata = []
-    for label in sorted(ls.by_value):
-        idx = ls.by_value[label]
+    for label in sorted(ls):
+        idx = ls[label]
         s = len(idx)
         if s >= n + 1 - d:
             dim = s + d - n - 1
@@ -75,10 +63,6 @@ def fixed_locus_strata(x: GroupElement, d: int):
                 FixedStratum(label=label, indices=idx, dim=dim, induced_type=(dim, p, s - 1))
             )
     return strata
-
-
-def element_acts_freely(x: GroupElement, d: int) -> bool:
-    return not has_fixed_points(x, d)
 
 
 def acts_freely_subgroup(K: Subgroup, d: int) -> bool:

@@ -282,16 +282,6 @@ def pi_project(x: ProjectivePoint, d: int, p: int) -> ProjectivePoint:
     return ProjectivePoint(tuple(c ** p for c in head))
 
 
-def apply_canonical_generator(j: int, x: ProjectivePoint, p: int) -> ProjectivePoint:
-    """Multiply coordinate j (1-based) by the primitive p-th root of unity."""
-    if not (1 <= j <= len(x.coords)):
-        raise ParameterError(f"coordinate index {j} out of range")
-    w = cmath.exp(2j * cmath.pi / p)
-    coords = list(x.coords)
-    coords[j - 1] *= w
-    return ProjectivePoint(tuple(coords))
-
-
 def apply_element(exponents, x: ProjectivePoint, p: int) -> ProjectivePoint:
     """Diagonal action of an exponent vector (length n+1)."""
     if len(exponents) != len(x.coords):
@@ -311,7 +301,11 @@ def on_branch_locus(arr: Arrangement, y: ProjectivePoint) -> bool:
     return False
 
 
-def fiber_over(y: ProjectivePoint, model: VarietyModel, cap: int = 2 ** 20):
+# Largest fiber (p^n points) that `fiber_over` computes by default.
+FIBER_CAP = 2 ** 20
+
+
+def fiber_over(y: ProjectivePoint, model: VarietyModel, cap: int = FIBER_CAP):
     """The full fiber of the covering projection over a point off the branch
     locus: exactly p^n points, ordered lexicographically in the root-choice
     exponents of coordinates 2..n+1."""

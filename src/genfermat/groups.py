@@ -7,16 +7,16 @@ is the identity).  Elements are stored as normalized exponent vectors with
 last entry 0.  Subgroups are stored through their lift to F_p^{n+1}, which
 always contains the all-ones vector, as a unique reduced row-echelon basis.
 
-Element arithmetic works for any p >= 2; the subgroup linear algebra
-(echelon forms, orders, quotient ranks) requires p prime.  Vectors over F_p
-can also be packed into ints (`Packed`), so that a vector sum is one int
-addition; `canonical_key` is the one definition of a subgroup's key bytes.
+Normal forms and words in the canonical generators work for any p >= 2;
+the subgroup linear algebra (echelon forms, quotient ranks) requires p
+prime.  Vectors over F_p can also be packed into ints (`Packed`), so that a
+vector sum is one int addition; `canonical_key` is the one definition of a
+subgroup's key bytes.
 """
 
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from math import gcd, lcm
 
 from .errors import DimensionError, ParameterError, ResourceLimitError, UnsupportedParameterError
 
@@ -79,9 +79,6 @@ class GroupElement:
     def is_identity(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    def to_json(self):
-        return list(self.exponents)
-
 
 def elem_normalize(raw, params: GroupParams) -> GroupElement:
     """Normal-form representative: subtract the last entry from every entry
@@ -92,10 +89,6 @@ def elem_normalize(raw, params: GroupParams) -> GroupElement:
         raise DimensionError(f"expected length {params.n + 1}, got {len(raw)}")
     c = raw[-1] % params.p
     return GroupElement(tuple((e - c) % params.p for e in raw), params)
-
-
-def identity(params: GroupParams) -> GroupElement:
-    return GroupElement((0,) * (params.n + 1), params)
 
 
 def generator(j: int, params: GroupParams) -> GroupElement:
@@ -116,34 +109,6 @@ def word(indices, params: GroupParams) -> GroupElement:
             raise ParameterError(f"generator index {j} out of range")
         raw[j - 1] += 1
     return elem_normalize(raw, params)
-
-
-def _check_same_params(a: GroupElement, b: GroupElement):
-    if a.params != b.params:
-        raise DimensionError(f"parameter mismatch: {a.params} vs {b.params}")
-
-
-def elem_mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    _check_same_params(a, b)
-    p = a.params.p
-    return GroupElement(
-        tuple((x + y) % p for x, y in zip(a.exponents, b.exponents)), a.params
-    )
-
-
-def elem_inv(a: GroupElement) -> GroupElement:
-    p = a.params.p
-    return GroupElement(tuple((-x) % p for x in a.exponents), a.params)
-
-
-def elem_order(a: GroupElement) -> int:
-    p = a.params.p
-    return lcm(1, *(p // gcd(e, p) for e in a.exponents if e))
-
-
-def elem_pow(a: GroupElement, k: int) -> GroupElement:
-    p = a.params.p
-    return GroupElement(tuple((x * k) % p for x in a.exponents), a.params)
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +270,6 @@ def rank_mod_p(rows, p) -> int:
     return len(rref_mod_p(rows, p))
 
 
-def solve_in_rowspan(rows, v, p):
-    """Whether v lies in the F_p-span of rows (rows assumed in RREF)."""
-    v = [x % p for x in v]
-    for row in rows:
-        piv = next(i for i, x in enumerate(row) if x)
-        if v[piv]:
-            f = v[piv]
-            v = [(x - f * y) % p for x, y in zip(v, row)]
-    return not any(v)
-
-
 def nullspace_mod_p(rows, p, ncols=None):
     """Basis (RREF) of {x : rows @ x = 0} over F_p."""
     rows = rref_mod_p(rows, p) if rows else ()
@@ -368,30 +322,10 @@ def subgroup_from_lift_rows(rows, params: GroupParams) -> Subgroup:
     return Subgroup(rref_mod_p(all_rows, params.p), params)
 
 
-def trivial_subgroup(params: GroupParams) -> Subgroup:
-    return subgroup_from_generators([], params)
-
-
-def full_group(params: GroupParams) -> Subgroup:
-    return subgroup_from_generators(
-        [generator(j, params) for j in range(1, params.n + 1)], params
-    )
-
-
-def subgroup_order(K: Subgroup) -> int:
-    return K.params.p ** (len(K.basis) - 1)
-
-
 def quotient_rank(K: Subgroup) -> int:
     """m with H/K isomorphic to Z_p^m."""
     K.params.require_prime()
     return K.params.n - (len(K.basis) - 1)
-
-
-def subgroup_contains(K: Subgroup, x: GroupElement) -> bool:
-    if x.params != K.params:
-        raise DimensionError("parameter mismatch")
-    return solve_in_rowspan(K.basis, x.exponents, K.params.p)
 
 
 def subgroup_element_basis(K: Subgroup):
@@ -464,12 +398,6 @@ def subgroup_to_json(K: Subgroup):
     return {"p": K.params.p, "n": K.params.n, "basis": [list(r) for r in K.basis]}
 
 
-def subgroup_from_json(data) -> Subgroup:
-    """Inverse of `subgroup_to_json`, which stores no d (so d = 1)."""
-    params = GroupParams(p=data["p"], n=data["n"], d=1)
-    return subgroup_from_lift_rows(data["basis"], params)
-
-
 # ---------------------------------------------------------------------------
 # Permutations of the canonical generators (Aut_g(H) ~ S_{n+1})
 # ---------------------------------------------------------------------------
@@ -484,27 +412,6 @@ class GeneratorPermutation:
     def __post_init__(self):
         if sorted(self.perm) != list(range(len(self.perm))):
             raise ParameterError(f"not a permutation: {self.perm}")
-
-    def compose(self, other: "GeneratorPermutation") -> "GeneratorPermutation":
-        """self after other: (self*other)(i) = self(other(i))."""
-        if len(self.perm) != len(other.perm):
-            raise DimensionError("permutation size mismatch")
-        return GeneratorPermutation(tuple(self.perm[j] for j in other.perm))
-
-
-def perm_identity(n: int) -> GeneratorPermutation:
-    return GeneratorPermutation(tuple(range(n + 1)))
-
-
-def perm_swap_first_two(n: int) -> GeneratorPermutation:
-    """Adjacent transposition of the first two generators."""
-    return GeneratorPermutation((1, 0) + tuple(range(2, n + 1)))
-
-
-def perm_full_cycle(n: int) -> GeneratorPermutation:
-    """The (n+1)-cycle sending phi_1 to phi_{n+1} and shifting the rest up
-    by one: together with the transposition it generates all of S_{n+1}."""
-    return GeneratorPermutation((n,) + tuple(range(n)))
 
 
 def autg_apply_element(sigma: GeneratorPermutation, x: GroupElement) -> GroupElement:

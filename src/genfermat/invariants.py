@@ -40,7 +40,6 @@ from .groups import (
     generator,
     is_prime,
     quotient_rank,
-    rank_mod_p,
     rref_mod_p,
     subgroup_element_basis,
 )
@@ -60,9 +59,6 @@ class DiagonalAction:
             if len(row) != self.num_vars:
                 raise DimensionError("character row length mismatch")
         object.__setattr__(self, "rows", rows)
-
-    def group_order(self) -> int:
-        return self.p ** rank_mod_p(self.rows, self.p) if self.rows else 1
 
 
 def action_from_subgroup(K: Subgroup) -> DiagonalAction:
@@ -164,7 +160,10 @@ def invariant_monomials_up_to(action: DiagonalAction, degree_bound: int):
 
 
 def generates_up_to(gens, action: DiagonalAction, degree_bound: int) -> bool:
-    """Every invariant monomial of degree <= bound factors into gens."""
+    """Oracle: every invariant monomial of degree <= bound factors into gens.
+
+    Scans all invariant monomials up to the bound, independently of the
+    walk in `hilbert_basis`, which the tests check with it."""
     genset = set(gens)
 
     def factors(mono):

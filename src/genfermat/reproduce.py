@@ -164,8 +164,8 @@ def check_cubic_surface_fixed_points():
     params = GroupParams(p=3, n=3, d=2)
     x = elem_normalize((1, 1, 2, 0), params)
     ls = level_sets(x)
-    if ls.by_value != {0: (4,), 1: (1, 2), 2: (3,)}:
-        return False, f"unexpected level sets {ls.by_value}"
+    if ls != {0: (4,), 1: (1, 2), 2: (3,)}:
+        return False, f"unexpected level sets {ls}"
     model = fermat_model(p=3, d=2)
     points = [
         ProjectivePoint((1, zeta, 0, 0))

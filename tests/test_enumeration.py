@@ -37,16 +37,13 @@ from genfermat.groups import (
     GeneratorPermutation,
     GroupParams,
     autg_apply_subgroup,
-    full_group,
-    perm_full_cycle,
-    perm_swap_first_two,
+    generator,
     quotient_rank,
     rank_mod_p,
     rref_mod_p,
     subgroup_canonical_key,
+    subgroup_from_generators,
     subgroup_from_lift_rows,
-    subgroup_order,
-    trivial_subgroup,
 )
 
 # Desk-scale sweep: every (d, p, n, m) whose candidate-subspace count stays
@@ -245,7 +242,7 @@ def test_trivial_kernel_cells():
     for p in (2, 3, 5):
         for n in range(1, 6):
             for d in range(1, n + 1):
-                K = trivial_subgroup(GroupParams(p=p, n=n, d=d))
+                K = subgroup_from_generators([], GroupParams(p=p, n=n, d=d))
                 want = [K.basis] if subgroup_is_free_dual(K, d) else []
                 found = enumerate_all(EnumerationTask(d, p, n, n), prune=False)
                 assert [F.basis for F in found] == want, (d, p, n)
@@ -329,12 +326,21 @@ def lift_subspaces(draw):
     return subgroup_from_lift_rows(rows, GroupParams(p=p, n=n, d=1))
 
 
+def _trivial(p, n):
+    return subgroup_from_generators([], GroupParams(p=p, n=n, d=1))
+
+
+def _full(p, n):
+    params = GroupParams(p=p, n=n, d=1)
+    return subgroup_from_generators([generator(j, params) for j in range(1, n + 1)], params)
+
+
 @settings(max_examples=150, deadline=None)
 @given(lift_subspaces())
-@example(full_group(GroupParams(p=2, n=1, d=1)))
-@example(trivial_subgroup(GroupParams(p=3, n=1, d=1)))
-@example(full_group(GroupParams(p=7, n=5, d=1)))
-@example(trivial_subgroup(GroupParams(p=5, n=5, d=1)))
+@example(_full(2, 1))
+@example(_trivial(3, 1))
+@example(_full(7, 5))
+@example(_trivial(5, 5))
 # 128 <= p <= 255: two-byte packed fields
 @example(subgroup_from_lift_rows([(0, 1, 5, 130), (0, 0, 2, 7)], GroupParams(p=131, n=3, d=1)))
 @example(subgroup_from_lift_rows([(3, 0, 250, 7, 1)], GroupParams(p=251, n=4, d=1)))
@@ -344,10 +350,10 @@ def test_orbit_closure_matches_all_permutations(K):
 
 @settings(max_examples=150, deadline=None)
 @given(lift_subspaces())
-@example(full_group(GroupParams(p=2, n=1, d=1)))
-@example(trivial_subgroup(GroupParams(p=3, n=1, d=1)))
-@example(full_group(GroupParams(p=3, n=7, d=1)))
-@example(trivial_subgroup(GroupParams(p=5, n=7, d=1)))
+@example(_full(2, 1))
+@example(_trivial(3, 1))
+@example(_full(3, 7))
+@example(_trivial(5, 7))
 @example(subgroup_from_lift_rows([(1, 0, 1, 0, 0, 1, 1, 0)], GroupParams(p=2, n=7, d=1)))
 # 128 <= p <= 255
 @example(subgroup_from_lift_rows([(0, 1, 5, 130), (0, 0, 2, 7)], GroupParams(p=131, n=3, d=1)))
@@ -402,7 +408,9 @@ def test_orbit_members_closed_under_generators():
     for o in orbits:
         for key in o.members:
             K = by_key[key]
-            for sigma in (perm_swap_first_two(4), perm_full_cycle(4)):
+            # a transposition and the full cycle generate S_5
+            for sigma in (GeneratorPermutation((1, 0, 2, 3, 4)),
+                          GeneratorPermutation((4, 0, 1, 2, 3))):
                 assert subgroup_canonical_key(autg_apply_subgroup(sigma, K)) in o.members
 
 
@@ -438,7 +446,7 @@ def test_even_m_matches_closed_form_n():
     assert K.params.n == 9
     K = construct_family("odd_m", m=5)
     assert K.params.n == 15
-    assert subgroup_order(K) == 2 ** (15 - 5)
+    assert len(K.basis) - 1 == 15 - 5
 
 
 def test_enumeration_report_shape():

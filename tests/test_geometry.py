@@ -13,7 +13,6 @@ from genfermat.geometry import (
     ProjectivePoint,
     RESIDUAL_TOL,
     VarietyModel,
-    apply_canonical_generator,
     apply_element,
     arrangement_from_json,
     arrangement_to_json,
@@ -104,7 +103,8 @@ def test_residual_on_fermat_point():
 
 def test_apply_element_consistency():
     pt = ProjectivePoint((1, 1j, 0.5, -1))
-    a = apply_canonical_generator(2, pt, 4)
+    # phi_2 multiplies coordinate 2 by the primitive 4th root of unity i
+    a = ProjectivePoint((1, -1, 0.5, -1))
     b = apply_element((0, 1, 0, 0), pt, 4)
     assert projectively_close(a, b)
     # the all-ones exponent vector acts trivially on projective points

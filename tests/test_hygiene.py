@@ -1,13 +1,14 @@
 """Source hygiene: every name a module imports is used in that module, no
 package module imports another's private names or the gc module, every
-defaulted parameter in the package is set by some caller, the value types
-kept by the thousand hold no per-instance dict, and every source parses as
-the oldest Python that pyproject.toml allows."""
+defaulted parameter in the package is set by some caller, every public
+function has a caller or is a labelled oracle, the value types kept by the
+thousand hold no per-instance dict, and every source parses as the oldest
+Python that pyproject.toml allows."""
 
 import ast
 from pathlib import Path
 
-from genfermat.groups import GroupParams, identity, trivial_subgroup
+from genfermat.groups import GroupParams, elem_normalize, subgroup_from_generators
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "tests", "scripts")
@@ -214,8 +215,79 @@ def test_every_default_has_a_caller():
     assert sorted(set(ALLOWED) - set(unset)) == []
 
 
+# Public functions that no caller outside the tests reaches, each kept as an
+# independent oracle: its reason starts with the test that cross-checks the
+# pipeline against it, and its docstring starts with "Oracle:".
+ORACLES = {
+    "iter_rref_bases":
+        "test_enumerate_all_lifts_match_elimination filters every RREF basis by elimination",
+    "subgroup_is_free_dual":
+        "test_dual_matches_elementwise_on_sweep checks the walk's kernels by the dual route",
+    "generates_up_to":
+        "test_hilbert_basis_minimal_and_complete checks hilbert_basis degree by degree",
+}
+
+
+def _references(tree):
+    """(name, enclosing def nodes) for every ast.Name, ast.Attribute and
+    imported name in the tree."""
+    out = []
+
+    def visit(node, defs):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                out.append((child.id, defs))
+            elif isinstance(child, ast.Attribute):
+                out.append((child.attr, defs))
+            elif isinstance(child, ast.alias):
+                out.append((child.name, defs))
+            visit(child, defs + (child,) if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else defs)
+
+    visit(tree, ())
+    return out
+
+
+def public_functions_without_callers():
+    """{qualified name: def node} of the package's module-level public
+    functions and non-dunder public methods that no file under CALLERS but
+    __init__.py refers to, outside the function's own definition."""
+    defined = []  # (qualified name, call name, def node)
+    for path in sorted((ROOT / "src" / "genfermat").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+        for qual, _, fn, _ in _functions(tree):
+            parts = qual.split(".")
+            if fn.name.startswith("_") or not (
+                    len(parts) == 1 or len(parts) == 2 and parts[0] in classes):
+                continue
+            defined.append((qual, fn.name, fn))
+    refs = {}  # name -> [enclosing def nodes of each reference]
+    for top in CALLERS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            for name, defs in _references(ast.parse(path.read_text())):
+                refs.setdefault(name, []).append(defs)
+    return {qual: fn for qual, name, fn in defined
+            if all(fn in defs for defs in refs.get(name, ()))}
+
+
+def test_every_public_function_has_a_caller():
+    unreached = public_functions_without_callers()
+    assert sorted(set(unreached) - set(ORACLES)) == []
+    # an oracle that is gone or now has a caller is stale
+    assert sorted(set(ORACLES) - set(unreached)) == []
+    assert [name for name in ORACLES
+            if not (ast.get_docstring(unreached[name]) or "").startswith("Oracle:")] == []
+    tests = {fn.name for path in (ROOT / "tests").rglob("test_*.py")
+             for _, _, fn, _ in _functions(ast.parse(path.read_text()))}
+    assert {name: reason.split()[0] for name, reason in ORACLES.items()
+            if reason.split()[0] not in tests} == {}
+
+
 def test_value_types_use_slots():
     # enumerate_all keeps every kernel of a cell as a Subgroup
     params = GroupParams(p=3, n=2, d=1)
-    for value in (identity(params), trivial_subgroup(params)):
+    for value in (elem_normalize((0, 0, 0), params), subgroup_from_generators([], params)):
         assert not hasattr(value, "__dict__"), type(value).__name__

@@ -47,7 +47,7 @@ def test_action_validation():
     with pytest.raises(DimensionError):
         DiagonalAction(p=2, num_vars=3, rows=((1, 0),))
     act = DiagonalAction(p=3, num_vars=2, rows=((1, 2), (2, 4)))
-    assert act.group_order() == 3  # second row is a multiple of the first
+    assert act.rows == ((1, 2), (2, 1))  # reduced mod p
     with pytest.raises(UnsupportedParameterError):
         DiagonalAction(p=4, num_vars=2, rows=((2, 1),))
     assert hilbert_basis(DiagonalAction(p=2, num_vars=0, rows=())) == []
@@ -120,7 +120,8 @@ def davenport_bound(act):
     """D(Z_p^r) = r(p-1)+1 (Olson): no minimal zero-sum sequence, so no
     minimal invariant monomial, is longer.  Keeps the oracle's scan small
     where a scan up to |G| would not."""
-    return min(act.group_order(), rank_mod_p(act.rows, act.p) * (act.p - 1) + 1)
+    r = rank_mod_p(act.rows, act.p)
+    return min(act.p ** r, r * (act.p - 1) + 1)
 
 
 @given(st.data())
@@ -315,10 +316,11 @@ def test_quotient_generator_reps():
     K, _ = reference_action()
     reps = quotient_generator_reps(K)
     assert len(reps) == 3
-    from genfermat.groups import subgroup_contains
-
+    p = K.params.p
     for rep in reps:
-        assert not subgroup_contains(K, rep)
+        assert rank_mod_p(K.basis + (rep.exponents,), p) == len(K.basis) + 1
+    # and together they span H modulo K
+    assert rank_mod_p(K.basis + tuple(r.exponents for r in reps), p) == len(K.basis) + 3
 
 
 def test_induced_action_signs():
