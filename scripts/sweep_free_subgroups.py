@@ -3,7 +3,9 @@
 
 For each (d, p, n, m) cell within the subspace budget, report the number of
 candidate subspaces, the number of freely-acting subgroups, and the orbit
-decomposition under generator permutations.
+decomposition under generator permutations.  elapsed_ms is the cell's time;
+with --classify it is the total of enumerate_ms and classify_ms, the times
+of the two phases.
 
 Usage:
     python scripts/sweep_free_subgroups.py --d 2 --p 2 3 5 --max-n 7 --budget 100000
@@ -63,12 +65,17 @@ def main():
             cell["skipped"] = f"{exc.attempted} candidates over budget"
             print(json.dumps(cell))
             continue
+        elapsed_ms = round((time.perf_counter() - t0) * 1000, 1)
         cell["candidates"] = gaussian_binomial(task.n, task.n - task.m, task.p)
         cell["count"] = len(found)
-        if args.classify and found:
-            orbits = classify_orbits(found)
-            cell["orbits"] = [o.orbit_size for o in orbits]
-        cell["elapsed_ms"] = round((time.perf_counter() - t0) * 1000, 1)
+        if args.classify:
+            t0 = time.perf_counter()
+            if found:
+                cell["orbits"] = [o.orbit_size for o in classify_orbits(found)]
+            cell["enumerate_ms"] = elapsed_ms
+            cell["classify_ms"] = round((time.perf_counter() - t0) * 1000, 1)
+            elapsed_ms = round(elapsed_ms + cell["classify_ms"], 1)
+        cell["elapsed_ms"] = elapsed_ms
         print(json.dumps(cell))
 
 

@@ -27,18 +27,18 @@ kernels are returned sorted by basis, which is their canonical-key order,
 so no key is built during enumeration.
 
 Classification is up to the S_{n+1} of generator permutations.
-`classify_orbits` closes each orbit under the two standard generators, on
-packed echelon rows that either generator disturbs in at most one row, so
-one rank-one insertion replaces a full elimination.  The canonical key of
-an orbit is its least subgroup key, which has the form [I | A];
+`classify_orbits` indexes the kernels by their lift bases as tuples of
+packed rows and closes each orbit under the two standard generators on
+those rows, where either costs at most one rank-one insertion, not a full
+elimination, and no key bytes are built.  The canonical key of an orbit is
+its least subgroup key, which has the form [I | A];
 `canonical_orbit_key` finds it from the information sets of one member,
 with no closure, and the closure is its test oracle.
 """
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations, islice, product
+from itertools import combinations, groupby, islice, product
 from math import comb, factorial
 from operator import attrgetter, itemgetter
 
@@ -162,11 +162,17 @@ def _walk(row, hi, packed, vecs, spans, total, tail, node, above, share):
     coordinate 0, zero at every pivot and the final running total
     (all-ones plus every column) on Q.  Rows are read off the bytes of
     packed vectors by the getters of `node`, one per s, built on first use
-    for the s-prefix placed so far."""
+    for the s-prefix placed so far.  A leaf's dependent column -(total + c)
+    lies in the top span iff total + c is in spans[-1] or total + b*c in
+    spans[-2] for some b != 1, and b = 0 rejects every leaf at once."""
     p, high, bias, sh = packed.p, packed.high, packed.bias, packed.w - 1
     nbytes = packed.w // 8 * packed.m + 2
     one = 1 << (8 * nbytes - 8)  # the bytes 0 and 1 after the fields
     neg = packed.ones * p + one  # neg - c is -c with fields in [1, p]
+    top = spans[-1]
+    lower, more = (spans[-2], range(p - 2)) if len(spans) > 1 else ((), ())  # b = 2..p-1
+    if not row and total in lower:
+        return
     for s in range(hi + 1):
         entry = node.get(s)
         if entry is None:
@@ -180,7 +186,7 @@ def _walk(row, hi, packed, vecs, spans, total, tail, node, above, share):
         if row:
             get, below, pivots = entry
             for c in cols:
-                if c in spans[-1]:
+                if c in top:
                     continue
                 r = neg - c
                 r = get((r - (((r + bias) & high) >> sh) * p).to_bytes(nbytes, "little"))
@@ -191,13 +197,23 @@ def _walk(row, hi, packed, vecs, spans, total, tail, node, above, share):
         else:
             get, get_top = entry
             for c in cols:
-                if c in spans[-1] or not packed.closes(spans, total, c):
+                if c in top:
                     continue
-                r = neg - c
-                r = get((r - (((r + bias) & high) >> sh) * p).to_bytes(nbytes, "little"))
-                t = total + c + one
-                t = get_top((t - (((t + bias) & high) >> sh) * p).to_bytes(nbytes, "little"))
-                yield (share(t, t), share(r, r)) + tail
+                x = total + c
+                x -= (((x + bias) & high) >> sh) * p
+                if x in top:
+                    continue
+                y = x
+                for _ in more:
+                    y += c
+                    y -= (((y + bias) & high) >> sh) * p
+                    if y in lower:
+                        break
+                else:
+                    r = neg - c
+                    r = get((r - (((r + bias) & high) >> sh) * p).to_bytes(nbytes, "little"))
+                    t = get_top((x + one).to_bytes(nbytes, "little"))
+                    yield (share(t, t), share(r, r)) + tail
 
 
 def _leaves(packed, k, d, share):
@@ -324,71 +340,87 @@ def enumerate_all(task: EnumerationTask, prune: bool = True):
 class OrbitClass:
     representative: Subgroup
     orbit_size: int
-    members: tuple = field(default=(), compare=False)  # canonical keys
+    subgroups: tuple = field(default=(), compare=False)  # the input objects
+
+    @property
+    def members(self) -> tuple:
+        """The canonical keys of the members, sorted, built when read."""
+        return tuple(sorted(map(subgroup_canonical_key, self.subgroups)))
 
 
-def _orbit_keys(K: Subgroup):
-    """Canonical keys of every subgroup in the S_{n+1}-orbit of K, by
-    closure under the transposition (0 1) and the full cycle, which generate
-    S_{n+1}.  Members are lift bases held as packed rows with whole-byte
-    fields (`Packed.byte_fields`), and neither generator needs an
-    elimination, because the all-ones vector in every lift keeps coordinate
-    0 a pivot:
+def _orbit_closure(packed, start):
+    """Every lift basis in the S_{n+1}-orbit of `start`, as tuples of packed
+    echelon rows (`Packed.byte_fields` over F_p^{n+1}), by closure under the
+    transposition (0 1) and the cycle j+1 -> j, 0 -> n, which generate
+    S_{n+1}.  Row 0 has pivot 0, as all-ones lies in every lift, and is
+    all-ones minus rows 1..k, as a vector of the span is the sum of the rows
+    times its entries at their pivots.
     - When coordinate 1 is a pivot, (0 1) exchanges rows 0 and 1 and their
-      entries at coordinates 0 and 1.  Otherwise row 0 is the only row
-      with support on coordinates 0 and 1, and as all-ones is the sum of
-      the rows both its entries there are 1, so the subgroup is fixed.
-    - The cycle moves coordinate j+1 to j and 0 to n.  Rows 1..k stay
-      reduced echelon, and row 0 is zero at their pivots, so it goes back
-      in by one `Packed.insert`."""
-    packed = Packed.byte_fields(K.params.p, K.params.n + 1)
+      entries at coordinates 0 and 1, and the cycle leaves rows 1..k reduced
+      echelon and row 0 zero at their pivots, so it goes back in by one
+      `Packed.insert`.
+    - Otherwise rows 1..k are zero at coordinates 0 and 1, so row 0 is 1 at
+      both: (0 1) fixes the subgroup, and the rotated rows are reduced
+      echelon as they stand, row 0 taking pivot 0, where the others are 0.
+    """
     w = packed.w
-    mask, top, e1 = (1 << w) - 1, w * K.params.n, 1 << w
-    start = tuple(packed.pack(row) for row in K.basis)
+    mask, top, e1 = (1 << w) - 1, w * (packed.m - 1), 1 << w
     seen = {start}
     frontier = [start]
     while frontier:
         rows = frontier.pop()
-        rot = [(r >> w) | ((r & mask) << top) for r in rows]
-        images = [tuple(packed.insert(rot[1:], rot[0]))]
+        rot = tuple([(r >> w) | ((r & mask) << top) for r in rows])
         if len(rows) > 1 and rows[1] & -rows[1] == e1:
-            images.append((rows[1] - e1 + 1, rows[0] - 1 + e1) + rows[2:])
-        for img in images:
-            if img not in seen:
-                seen.add(img)
-                frontier.append(img)
-    return {canonical_key(K.params, map(packed.to_bytes, rows)) for rows in seen}
+            swap = (rows[1] - e1 + 1, rows[0] - 1 + e1) + rows[2:]
+            if swap not in seen:
+                seen.add(swap)
+                frontier.append(swap)
+            rot = tuple(packed.insert(rot[1:], rot[0]))
+        if rot not in seen:
+            seen.add(rot)
+            frontier.append(rot)
+    return seen
 
 
 def classify_orbits(subgroups):
     """Partition into orbits under the full permutation group of the
-    canonical generators (see `_orbit_keys`).  Members are the key objects
-    of the input index, found by bisection, not the closure's fresh copies.
-    Raises if an orbit leaves the input set."""
-    by_key = {subgroup_canonical_key(K): K for K in subgroups}
-    if len(by_key) != len(subgroups):
-        raise InconsistencyError("duplicate subgroups in classification input")
-    keys = sorted(by_key)
+    canonical generators, ordered by their least member's key.  Each (p,
+    n) has its own index of kernels by their packed kernel rows 1..k, which
+    fix row 0 (`_orbit_closure`); each distinct row is packed once, from its
+    bytes.  An orbit's members, the input objects, are popped from the
+    index.  Raises on duplicate input, or if an orbit leaves it."""
+    cells = {}
+    for params, group in groupby(subgroups, attrgetter("params")):
+        cells.setdefault((params.p, params.n), []).extend(group)
     orbits = []
-    for key in keys:
-        K = by_key.get(key)
-        if K is None:
-            continue  # taken by an earlier orbit
-        # every smaller key lies in an earlier orbit, so key is this
-        # orbit's least member
-        members = sorted(_orbit_keys(K))
-        if any(by_key.pop(k, None) is None for k in members):
-            raise InconsistencyError(
-                "orbit leaves the input set; input was not closed under "
-                "generator permutations"
-            )
-        orbits.append(
-            OrbitClass(
-                representative=K,
-                orbit_size=len(members),
-                members=tuple([keys[bisect_left(keys, k)] for k in members]),
-            )
-        )
+    # keys order by their "p,n;" head, then as the bases (linear when sorted)
+    for cell in sorted(cells.values(), key=lambda cell: canonical_key(cell[0].params, ())):
+        cell.sort(key=attrgetter("basis"))
+        p, n = cell[0].params.p, cell[0].params.n
+        if p > 255:
+            raise UnsupportedParameterError(f"rows are packed as bytes, so p <= 255, got {p}")
+        packed = Packed.byte_fields(p, n + 1)
+        step = packed.w // 8  # an entry is the low byte of its field
+        buf = bytearray(step * (n + 1))
+
+        def pack(row):
+            buf[::step] = bytes(row)
+            return int.from_bytes(buf, "little")
+
+        rows = {row: pack(row) for row in {row for K in cell for row in K.basis[1:]}}
+        keys = [tuple([rows[row] for row in K.basis[1:]]) for K in cell]
+        index = dict(zip(keys, cell))
+        if len(index) != len(cell):
+            raise InconsistencyError("duplicate subgroups in classification input")
+        for K, key in zip(cell, keys):
+            if key not in index:
+                continue  # taken by an earlier orbit
+            closure = _orbit_closure(packed, (pack(K.basis[0]),) + key)
+            members = [index.pop(basis[1:], None) for basis in closure]
+            if None in members:
+                raise InconsistencyError("orbit leaves the input set; input was not "
+                                         "closed under generator permutations")
+            orbits.append(OrbitClass(K, len(members), tuple(members)))
     return orbits
 
 

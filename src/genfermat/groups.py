@@ -120,7 +120,9 @@ class Packed:
     at bit w*t (w defaults to the narrowest width, p.bit_length() + 1;
     `byte_fields` gives fields of whole bytes).  Coordinatewise addition
     mod p is one int addition plus a carry fix-up: biasing every field by
-    2^(w-1) - p sets its top bit exactly where the sum reached p."""
+    2^(w-1) - p sets its top bit exactly where the sum reached p.  The
+    enumeration walk inlines the fix-up; orbit classification carries lift
+    bases as tuples of packed rows, which also key its index."""
 
     __slots__ = ("p", "m", "w", "ones", "high", "bias")
 
@@ -134,17 +136,11 @@ class Packed:
     @staticmethod
     def byte_fields(p: int, m: int) -> "Packed":
         """Fields of B = ceil((p.bit_length() + 1) / 8) whole bytes, so for
-        p <= 255 the entries of a vector are every B-th byte of its int
-        (`to_bytes`)."""
+        p <= 255 the entries of a vector are every B-th byte of its int."""
         return Packed(p, m, 8 * ((p.bit_length() + 8) // 8))
 
     def pack(self, vec) -> int:
         return sum((x % self.p) << (self.w * t) for t, x in enumerate(vec))
-
-    def to_bytes(self, v: int) -> bytes:
-        """The entries of v, one byte each, for whole-byte fields."""
-        step = self.w // 8
-        return v.to_bytes(step * self.m, "little")[::step]
 
     def add(self, u: int, v: int) -> int:
         s = u + v
@@ -190,24 +186,6 @@ class Packed:
     def shrink(spans, added):
         for r, new in added:
             spans[r] -= new
-
-    def closes(self, spans, total: int, c: int) -> bool:
-        """Whether the dependent column -(total + c) stays out of the top span
-        once c is placed.  That span is spans[-1] | (spans[-2] + a*c), a != 0,
-        so membership reduces to total + b*c, b != 1, against spans[-2]."""
-        x = self.add(total, c)
-        if x in spans[-1]:
-            return False
-        if len(spans) == 1:
-            return True
-        lower = spans[-2]
-        if total in lower:
-            return False
-        for _ in range(self.p - 2):
-            x = self.add(x, c)
-            if x in lower:
-                return False
-        return True
 
     def insert(self, rows, v) -> list:
         """Reduced echelon rows of the span of `rows` and v, where `rows` are

@@ -191,9 +191,9 @@ def _multiset_exponent_sum(gens, multiset):
     return tuple(total)
 
 
-# Multisets the relation walk may visit: max_side=4 over the largest
-# quotient-model bases (57 generators) visits about 522 k.
-RELATION_WALK_CAP = 1_000_000
+# Code fields the relation walk may hold, max_side per multiset: max_side=4
+# over the largest quotient-model bases (57 generators) holds about 2.1 M.
+RELATION_WALK_CAP = 4_000_000
 
 # Byte translation from a one-byte code field to the generator index it
 # holds: index + 1 -> index, and an unused field, 0 -> 255.
@@ -321,7 +321,8 @@ def find_binomial_relations(gens, max_side: int = 3) -> BinomialRelations:
     distinct sum, and ints.  The upper levels run on an explicit stack of
     ints, so a large max_side cannot reach the recursion limit, and a node
     one level short of max_side joins its children in one loop.  The walk
-    raises ResourceLimitError past RELATION_WALK_CAP multisets.  Exponent
+    keeps a code of max_side fields per multiset, and raises
+    ResourceLimitError past RELATION_WALK_CAP fields.  Exponent
     vectors must be non-negative and of equal length, or the packing is not
     injective."""
     if not gens or max_side < 1:
@@ -343,7 +344,7 @@ def find_binomial_relations(gens, max_side: int = 3) -> BinomialRelations:
     by_sum = {}
     classes, counts = [], array("Q")  # the join records
     get, add_class, add_count = by_sum.get, classes.append, counts.append
-    visited = 0
+    visited, most = 0, RELATION_WALK_CAP // max_side  # multisets
     # Flat (key, code, depth) per node: depth k >= 0 to expand it, -k to
     # join it once its children are done.  Codes here hold a node's k
     # fields in the low bits; a join shifts them to the top.
@@ -364,10 +365,10 @@ def find_binomial_relations(gens, max_side: int = 3) -> BinomialRelations:
             continue
         first = (code & mask) - 1 if depth else 0  # children repeat or exceed it
         visited += n - first
-        if visited > RELATION_WALK_CAP:
+        if visited > most:
             raise ResourceLimitError(
-                f"relation walk passed cap {RELATION_WALK_CAP} multisets",
-                attempted=visited)
+                f"relation walk passed cap {RELATION_WALK_CAP} code fields",
+                attempted=visited * max_side)
         if depth:  # the root is the empty multiset
             push(key)
             push(code)

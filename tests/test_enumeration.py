@@ -16,7 +16,7 @@ from genfermat.enumeration import (
     EnumerationTask,
     _columns_free,
     _least_orbit_form,
-    _orbit_keys,
+    _orbit_closure,
     canonical_orbit_key,
     classify_orbits,
     construct_family,
@@ -28,6 +28,7 @@ from genfermat.enumeration import (
     subgroup_is_free_dual,
 )
 from genfermat.errors import (
+    InconsistencyError,
     ParameterError,
     ResourceLimitError,
     UnsupportedParameterError,
@@ -36,7 +37,10 @@ from genfermat.fixed_points import acts_freely_subgroup
 from genfermat.groups import (
     GeneratorPermutation,
     GroupParams,
+    Packed,
+    Subgroup,
     autg_apply_subgroup,
+    canonical_key,
     generator,
     quotient_rank,
     rank_mod_p,
@@ -107,6 +111,9 @@ def _elementwise_free_keys(task):
 @given(st.sampled_from(ORACLE_CELLS))
 @example((4, 2, 7, 5))
 @example((4, 5, 5, 4))
+# the leaf test at d >= 4 and p = 7: 280 of 3,280 and 120 of 2,801 free
+@example((5, 3, 8, 7))
+@example((4, 7, 5, 4))
 # nonempty d=2 cells at p = 2, 3, 5
 @example((2, 2, 6, 3))
 @example((2, 3, 4, 3))
@@ -220,13 +227,18 @@ def test_dual_matches_elementwise_on_sweep():
 def test_enumerate_all_lifts_match_elimination():
     # the lift built along the walk is the basis a full elimination gives;
     # (2,5,5,2) has rows built above the leaf at p > 3 (k = 3, 20,306
-    # candidates)
-    for d, p, n, m in SWEEP + WIDE_CELLS + EDGE_CELLS + [(2, 7, 4, 3), (2, 5, 5, 2)]:
+    # candidates); (5,3,8,7) and (5,7,6,5) test the leaf at d = 5 (120 of
+    # 19,608 free at p = 7), filtered element-wise, as the layered spans of
+    # the dual oracle grow to all of F_p^m there (about 5 ms a candidate)
+    cells = [(cell, subgroup_is_free_dual)
+             for cell in SWEEP + WIDE_CELLS + EDGE_CELLS + [(2, 7, 4, 3), (2, 5, 5, 2)]]
+    cells += [(cell, acts_freely_subgroup) for cell in [(5, 3, 8, 7), (5, 7, 6, 5)]]
+    for (d, p, n, m), is_free in cells:
         task = EnumerationTask(d=d, p=p, n=n, m=m)
         candidates = (subgroup_from_lift_rows([row + (0,) for row in basis], task.params)
                       for basis in iter_rref_bases(n, n - m, p))
         eliminated = sorted(
-            (K for K in candidates if subgroup_is_free_dual(K, d)), key=subgroup_canonical_key
+            (K for K in candidates if is_free(K, d)), key=subgroup_canonical_key
         )
         found = enumerate_all(task, prune=False)
         assert [K.basis for K in found] == [K.basis for K in eliminated], (d, p, n, m)
@@ -292,19 +304,71 @@ def test_enumeration_leaves_no_reference_cycles():
         gc.enable()
 
 
-def test_orbit_members_are_the_input_index_keys(monkeypatch):
+def test_orbit_members_are_the_input_objects(monkeypatch):
     found = enumerate_all(EnumerationTask(2, 3, 5, 3))
-    made = []  # every key built during classification, kept alive
+    calls = []
 
-    def recording(K):
-        made.append(subgroup_canonical_key(K))
-        return made[-1]
+    def counting(K):
+        calls.append(K)
+        return subgroup_canonical_key(K)
 
-    monkeypatch.setattr(enumeration, "subgroup_canonical_key", recording)
+    monkeypatch.setattr(enumeration, "subgroup_canonical_key", counting)
     orbits = classify_orbits(found)
-    members = [key for o in orbits for key in o.members]
-    assert sorted(members) == sorted(subgroup_canonical_key(K) for K in found)
-    assert {id(key) for key in members} <= {id(key) for key in made[:len(found)]}
+    assert calls == []  # classification builds no key
+    assert sorted(id(K) for o in orbits for K in o.subgroups) == sorted(map(id, found))
+    for o in orbits:
+        assert o.members == tuple(sorted(subgroup_canonical_key(K) for K in o.subgroups))
+    assert len(calls) == len(found)  # the members were built when read
+    assert sorted(key for o in orbits for key in o.members) == sorted(
+        subgroup_canonical_key(K) for K in found)
+
+
+def test_classification_refuses_duplicate_input():
+    found = enumerate_all(EnumerationTask(2, 2, 6, 3))
+    copy = Subgroup(found[7].basis, found[7].params)  # equal, not the same object
+    with pytest.raises(InconsistencyError, match="duplicate subgroups"):
+        classify_orbits(found + [copy])
+
+
+def test_classification_refuses_input_not_closed():
+    found = enumerate_all(EnumerationTask(2, 3, 5, 3))
+    for i in (0, 100, len(found) - 1):
+        with pytest.raises(InconsistencyError, match="orbit leaves the input set"):
+            classify_orbits(found[:i] + found[i + 1:])
+
+
+def test_classification_needs_byte_entries():
+    # rows are packed from their bytes, as canonical keys are built
+    K = subgroup_from_generators([], GroupParams(p=257, n=2, d=1))
+    with pytest.raises(UnsupportedParameterError, match="p <= 255, got 257"):
+        classify_orbits([K])
+
+
+def _orbit_summary(orbits):
+    return [(subgroup_canonical_key(o.representative), o.orbit_size, o.members)
+            for o in orbits]
+
+
+def test_classification_keeps_cells_apart():
+    # Row tuples of 0s and 1s pack alike at every p: the trivial kernels of
+    # (2,2,6,6) and (2,3,6,6) have the same basis, and must not meet.
+    cells = [(2, 3, 6, 4), (2, 2, 6, 3), (2, 3, 6, 6), (2, 2, 6, 6)]
+    found = [enumerate_all(EnumerationTask(*cell)) for cell in cells]
+    assert found[2][0].basis == found[3][0].basis
+    apart = sorted((o for kernels in found for o in classify_orbits(kernels)),
+                   key=lambda o: subgroup_canonical_key(o.representative))
+    together = classify_orbits([K for kernels in found for K in reversed(kernels)])
+    assert _orbit_summary(together) == _orbit_summary(apart)
+
+
+def _orbit_keys(K):
+    """Oracle: the canonical key of every subgroup in the S_{n+1}-orbit of
+    K, by the closure `classify_orbits` runs on packed rows."""
+    packed = Packed.byte_fields(K.params.p, K.params.n + 1)
+    step = packed.w // 8  # an entry is the low byte of its field
+    start = tuple(packed.pack(row) for row in K.basis)
+    return {canonical_key(K.params, [r.to_bytes(step * packed.m, "little")[::step] for r in rows])
+            for rows in _orbit_closure(packed, start)}
 
 
 def _orbit_keys_by_all_permutations(K):

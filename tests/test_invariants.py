@@ -261,18 +261,31 @@ def test_binomial_relations_wider_than_a_word():
 
 
 def test_binomial_relations_walk_cap(monkeypatch):
-    monkeypatch.setattr(invariants, "RELATION_WALK_CAP", 20)
+    # the cap counts code fields, max_side per multiset: 40 fields are 20
+    # multisets of two
+    monkeypatch.setattr(invariants, "RELATION_WALK_CAP", 40)
     assert list(find_binomial_relations([(1, 0), (0, 1), (1, 1)], max_side=2)) == [((0, 1), (2,))]
     with pytest.raises(ResourceLimitError) as info:
         find_binomial_relations(EXAMPLE_GENERATORS, max_side=2)
-    # 13 children of the root, then 1, 2, 3 and 4 below its last four
-    assert info.value.attempted == 23
+    # 13 children of the root, then 1, 2, 3 and 4 below its last four: 23
+    # multisets, 46 fields
+    assert info.value.attempted == 46
     # the walk keeps its own stack: a deep walk meets the cap, not the
-    # recursion limit
-    monkeypatch.setattr(invariants, "RELATION_WALK_CAP", 5000)
+    # recursion limit, here at depth 5001, holding about 12.5 M fields
+    monkeypatch.setattr(invariants, "RELATION_WALK_CAP", 5000 * 100_000)
     with pytest.raises(ResourceLimitError) as info:
         find_binomial_relations([(1,)], max_side=100_000)
-    assert info.value.attempted == 5001
+    assert info.value.attempted == 5001 * 100_000
+
+
+def test_binomial_relations_cap_bounds_code_fields(monkeypatch):
+    # One generator visits only max_side multisets, but keeps max_side + 1
+    # codes of max_side fields and a stack of codes of 1..max_side fields:
+    # 4000 multisets under a cap of 5000 would hold about 24 M fields.
+    monkeypatch.setattr(invariants, "RELATION_WALK_CAP", 5000)
+    with pytest.raises(ResourceLimitError) as info:
+        find_binomial_relations([(1,)], max_side=4000)
+    assert info.value.attempted == 2 * 4000
 
 
 def test_binomial_relations_input_contract():

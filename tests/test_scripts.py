@@ -43,7 +43,8 @@ def test_sweep_free_subgroups():
         if "prunedBy" in row:
             assert row["count"] == 0
         else:
-            assert {"candidates", "elapsed_ms"} <= set(row)
+            assert {"candidates", "enumerate_ms", "classify_ms", "elapsed_ms"} <= set(row)
+            assert row["elapsed_ms"] == round(row["enumerate_ms"] + row["classify_ms"], 1)
             assert sum(row.get("orbits", [])) == row["count"]
     assert {(r["n"], r["m"]): r["count"] for r in rows}[(5, 4)] == 10
 
@@ -59,6 +60,9 @@ def test_sweep_free_subgroups_budget():
     assert {(r["n"], r["m"]): r["candidates"] for r in rows if "candidates" in r} == {
         (3, 3): 1, (4, 3): 40, (4, 4): 1, (5, 5): 1,
     }
+    # without --classify there is one phase, timed by elapsed_ms alone
+    assert all("elapsed_ms" in r and "enumerate_ms" not in r and "classify_ms" not in r
+               for r in rows if "candidates" in r)
 
 
 def test_sweep_free_subgroups_rejects_bad_parameters():
