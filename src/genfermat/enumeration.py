@@ -16,24 +16,19 @@ layered spans L_0 <= ... <= L_{d-1} of the columns placed so far (L_r:
 every combination of at most r of them); a column in L_{d-1} is rejected
 together with every completion of its row prefix.  Freeness is
 cross-checked elsewhere against the element-wise predicate.  The walk packs
-its columns into ints with whole-byte fields (`groups.Packed`, p <= 255),
-so a lift basis (all-ones reduced against the kernel rows, then the kernel
-rows) is the running sum and the negated columns, with no elimination or
-repacking, their bytes gathered straight into the basis rows.  A kernel
-row is known once the walk places it, as the rows above fix every pivot
-right of its own, so the walk builds it there, once for its whole
-subtree, and a leaf builds only its own row and the all-ones row.  The
-kernels are returned sorted by basis, which is their canonical-key order,
-so no key is built during enumeration.
+its columns into ints with whole-byte fields (`groups.Packed`, p <= 255)
+and gathers each lift basis from their bytes, with no elimination, each
+kernel row built once where the walk places it (`enumerate_all`).  The
+kernels come sorted by basis, their canonical-key order, so no key is built.
 
 Classification is up to the S_{n+1} of generator permutations.
 `classify_orbits` indexes the kernels by their lift bases as tuples of
 packed rows and closes each orbit under the two standard generators on
-those rows, where either costs at most one rank-one insertion, not a full
-elimination, and no key bytes are built.  The canonical key of an orbit is
-its least subgroup key, which has the form [I | A];
-`canonical_orbit_key` finds it from the information sets of one member,
-with no closure, and the closure is its test oracle.
+those rows: either costs at most one rank-one insertion, planned once per
+inserted row and cell, and no key bytes are built.  The canonical key of
+an orbit is its least subgroup key [I | A]; `canonical_orbit_key` finds it
+from the information sets of one member, merging search states equal up
+to a column bijection, and the closure is its test oracle.
 """
 
 import time
@@ -348,7 +343,7 @@ class OrbitClass:
         return tuple(sorted(map(subgroup_canonical_key, self.subgroups)))
 
 
-def _orbit_closure(packed, start):
+def _orbit_closure(packed, start, plans):
     """Every lift basis in the S_{n+1}-orbit of `start`, as tuples of packed
     echelon rows (`Packed.byte_fields` over F_p^{n+1}), by closure under the
     transposition (0 1) and the cycle j+1 -> j, 0 -> n, which generate
@@ -357,25 +352,52 @@ def _orbit_closure(packed, start):
     times its entries at their pivots.
     - When coordinate 1 is a pivot, (0 1) exchanges rows 0 and 1 and their
       entries at coordinates 0 and 1, and the cycle leaves rows 1..k reduced
-      echelon and row 0 zero at their pivots, so it goes back in by one
-      `Packed.insert`.
+      echelon and the rotated row 0, v, zero at their pivots, so v goes back
+      in by one rank-one insertion, one add per row nonzero at v's lead.
+      Its lead, inverse and multiples are planned once per row 0 in `plans`,
+      which must serve one (p, n) only.
     - Otherwise rows 1..k are zero at coordinates 0 and 1, so row 0 is 1 at
       both: (0 1) fixes the subgroup, and the rotated rows are reduced
       echelon as they stand, row 0 taking pivot 0, where the others are 0.
     """
-    w = packed.w
-    mask, top, e1 = (1 << w) - 1, w * (packed.m - 1), 1 << w
+    p, w, high, bias = packed.p, packed.w, packed.high, packed.bias
+    sh, mask, e1 = w - 1, (1 << w) - 1, 1 << w
+    # the cycle moves row 0's 1 at coordinate 0 to n and shifts rows 1..k, 0 there
+    last = 1 << w * (packed.m - 1)
     seen = {start}
     frontier = [start]
     while frontier:
         rows = frontier.pop()
-        rot = tuple([(r >> w) | ((r & mask) << top) for r in rows])
         if len(rows) > 1 and rows[1] & -rows[1] == e1:
             swap = (rows[1] - e1 + 1, rows[0] - 1 + e1) + rows[2:]
             if swap not in seen:
                 seen.add(swap)
                 frontier.append(swap)
-            rot = tuple(packed.insert(rot[1:], rot[0]))
+            plan = plans.get(rows[0])
+            if plan is None:
+                v = (rows[0] >> w) | last
+                c = ((v & -v).bit_length() - 1) // w * w
+                inv, mults = pow((v >> c) & mask, -1, p), packed.multiples(v)
+                plan = (c, 1 << c, p - inv, mults, mults[inv])
+                if len(rows) > 2:  # at k = 1, row 0 fixes the kernel and never recurs
+                    plans[rows[0]] = plan
+            c, lead, ninv, mults, u = plan
+            rot = []
+            for r in rows[1:]:
+                r >>= w
+                f = (r >> c) & mask
+                if f:
+                    s = r + mults[f * ninv % p]
+                    r = s - (((s + bias) & high) >> sh) * p
+                elif u and r & -r > lead:
+                    rot.append(u)
+                    u = 0  # placed
+                rot.append(r)
+            if u:
+                rot.append(u)
+            rot = tuple(rot)
+        else:
+            rot = ((rows[0] >> w) | last, *[r >> w for r in rows[1:]])
         if rot not in seen:
             seen.add(rot)
             frontier.append(rot)
@@ -412,10 +434,11 @@ def classify_orbits(subgroups):
         index = dict(zip(keys, cell))
         if len(index) != len(cell):
             raise InconsistencyError("duplicate subgroups in classification input")
+        plans = {}  # insertion plans, valid at this p only (`_orbit_closure`)
         for K, key in zip(cell, keys):
             if key not in index:
                 continue  # taken by an earlier orbit
-            closure = _orbit_closure(packed, (pack(K.basis[0]),) + key)
+            closure = _orbit_closure(packed, (pack(K.basis[0]),) + key, plans)
             members = [index.pop(basis[1:], None) for basis in closure]
             if None in members:
                 raise InconsistencyError("orbit leaves the input set; input was not "
@@ -471,12 +494,17 @@ def _least_orbit_form(K: Subgroup):
     least so far; identical rows are taken once, with a weight.  Each least
     leaf (ordered I, column order) is one permutation onto the least key,
     so the weights times prod(multiplicity of equal columns)! sum to
-    |Stab|, and the orbit has (n+1)!/|Stab| members."""
+    |Stab|, and the orbit has (n+1)!/|Stab| members.  After each step,
+    states are merged, weights summed, whose columns agree as multisets,
+    each column read as its prefix and then its entries in the remaining
+    rows: they differ by a column bijection, which maps the continuations
+    of one row for row onto the other's, with the same prefixes of A and
+    final column multiplicities, so the least key and |Stab| are unchanged."""
     states = [(rows, tuple(range(len(rows))), [()] * len(rows[0]), 1)
               for rows in _information_set_forms(K)]
     prefix = []
     for _ in range(len(K.basis)):
-        best, survivors = None, []
+        best, survivors = None, {}
         for rows, remaining, cols, weight in states:
             alike = {}
             for i in remaining:
@@ -485,17 +513,16 @@ def _least_orbit_form(K: Subgroup):
                 new = [c + (v,) for c, v in zip(cols, vals)]
                 seq = [c[-1] for c in sorted(new)]
                 if best is None or seq < best:
-                    best, survivors = seq, []
+                    best, survivors = seq, {}
                 if seq == best:
                     rest = tuple(j for j in remaining if j != same[0])
-                    survivors.append((rows, rest, new, weight * len(same)))
+                    sig = tuple(sorted(zip(new, *[rows[j] for j in rest])))
+                    survivors.setdefault(sig, [rows, rest, new, 0])[3] += weight * len(same)
         prefix.append(best)
-        states = survivors
-    stab = 0
-    for _, _, cols, weight in states:
-        for col in set(cols):
-            weight *= factorial(cols.count(col))
-        stab += weight
+        states = survivors.values()
+    (_, _, cols, stab), = states  # every least leaf has the key's columns
+    for col in set(cols):
+        stab *= factorial(cols.count(col))
     r = len(prefix)
     key = canonical_key(
         K.params, [bytes([int(j == l) for j in range(r)] + seq) for l, seq in enumerate(prefix)]
@@ -505,7 +532,7 @@ def _least_orbit_form(K: Subgroup):
 
 # Most information sets, C(n+1, k+1) for a lift basis of k+1 rows, that
 # `canonical_orbit_key` eliminates on: the odd_m family at m = 5 (n = 15)
-# has 4,368 and takes about 2 s.
+# has 4,368 and takes about 1.5 s.
 INFORMATION_SET_CAP = 5_000
 
 

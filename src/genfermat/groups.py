@@ -187,33 +187,6 @@ class Packed:
         for r, new in added:
             spans[r] -= new
 
-    def insert(self, rows, v) -> list:
-        """Reduced echelon rows of the span of `rows` and v, where `rows` are
-        reduced echelon (pivot entries 1, sorted by pivot) and v is nonzero
-        with a zero at each of their pivots: scale v at its leading
-        coordinate, clear that coordinate from every row with one add each,
-        and insert v in pivot order."""
-        p, high, bias, sh = self.p, self.high, self.bias, self.w - 1
-        mask = (1 << self.w) - 1
-        c = ((v & -v).bit_length() - 1) // self.w * self.w
-        lead = 1 << c  # the lowest bit of a row with pivot entry 1 there
-        inv = pow((v >> c) & mask, -1, p)
-        mults = self.multiples(v)
-        u = mults[inv]
-        out = []
-        for r in rows:
-            f = (r >> c) & mask
-            if f:
-                s = r + mults[-f * inv % p]
-                r = s - (((s + bias) & high) >> sh) * p
-            elif u and r & -r > lead:
-                out.append(u)
-                u = 0  # placed
-            out.append(r)
-        if u:
-            out.append(u)
-        return out
-
 
 def rref_mod_p(rows, p):
     """Reduced row-echelon form over F_p.  Returns a tuple of nonzero rows

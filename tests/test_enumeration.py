@@ -351,14 +351,39 @@ def _orbit_summary(orbits):
 
 def test_classification_keeps_cells_apart():
     # Row tuples of 0s and 1s pack alike at every p: the trivial kernels of
-    # (2,2,6,6) and (2,3,6,6) have the same basis, and must not meet.
-    cells = [(2, 3, 6, 4), (2, 2, 6, 3), (2, 3, 6, 6), (2, 2, 6, 6)]
+    # (2,2,6,6) and (2,3,6,6) have the same basis, and must not meet.  The
+    # closure's insertion plans differ by p for one packed row, so cells of
+    # one n and field width must not share them either: (2,3,6,4) and
+    # (2,2,6,3) keep plans, and at k = 1 (2,5,6,5) and (2,7,6,5) keep none.
+    cells = [(2, 3, 6, 4), (2, 2, 6, 3), (2, 3, 6, 6), (2, 2, 6, 6), (2, 5, 6, 5), (2, 7, 6, 5)]
     found = [enumerate_all(EnumerationTask(*cell)) for cell in cells]
     assert found[2][0].basis == found[3][0].basis
     apart = sorted((o for kernels in found for o in classify_orbits(kernels)),
                    key=lambda o: subgroup_canonical_key(o.representative))
     together = classify_orbits([K for kernels in found for K in reversed(kernels)])
     assert _orbit_summary(together) == _orbit_summary(apart)
+
+
+def test_classification_at_two_byte_fields():
+    # 128 <= p <= 255: every row field is two bytes wide
+    found = enumerate_all(EnumerationTask(1, 131, 2, 1))
+    orbits = classify_orbits(found)
+    assert len(found) == 129
+    assert sum(o.orbit_size for o in orbits) == len(found)
+    for o in orbits:
+        assert set(o.members) == _orbit_keys_by_all_permutations(o.representative)
+
+
+@pytest.mark.parametrize("cell", [(2, 2, 7, 4), (2, 2, 7, 5), (2, 3, 6, 4), (2, 5, 5, 3),
+                                  (2, 5, 6, 5), (2, 2, 6, 3), (2, 7, 6, 5)],
+                         ids=lambda cell: "-".join(map(str, cell)))
+def test_orbit_key_search_agrees_with_closure(cell):
+    # two independent routes: the closure's least member and orbit size, and
+    # the information-set search's least key and stabilizer order
+    for o in classify_orbits(enumerate_all(EnumerationTask(*cell))):
+        key, stab = _least_orbit_form(o.representative)
+        assert key == subgroup_canonical_key(o.representative)
+        assert factorial(cell[2] + 1) // stab == o.orbit_size
 
 
 def _orbit_keys(K):
@@ -368,7 +393,7 @@ def _orbit_keys(K):
     step = packed.w // 8  # an entry is the low byte of its field
     start = tuple(packed.pack(row) for row in K.basis)
     return {canonical_key(K.params, [r.to_bytes(step * packed.m, "little")[::step] for r in rows])
-            for rows in _orbit_closure(packed, start)}
+            for rows in _orbit_closure(packed, start, {})}
 
 
 def _orbit_keys_by_all_permutations(K):

@@ -2,10 +2,15 @@
 package module imports another's private names or the gc module, every
 defaulted parameter in the package is set by some caller, every public
 function has a caller or is a labelled oracle, the value types kept by the
-thousand hold no per-instance dict, and every source parses as the oldest
-Python that pyproject.toml allows."""
+thousand hold no per-instance dict, every source parses as the oldest
+Python that pyproject.toml allows, and every committed benchmark record
+(BENCH_*.json at the root) holds the paired runs its summary is made of."""
 
 import ast
+import json
+import math
+import re
+import statistics
 from pathlib import Path
 
 from genfermat.groups import GroupParams, elem_normalize, subgroup_from_generators
@@ -291,3 +296,39 @@ def test_value_types_use_slots():
     params = GroupParams(p=3, n=2, d=1)
     for value in (elem_normalize((0, 0, 0), params), subgroup_from_generators([], params)):
         assert not hasattr(value, "__dict__"), type(value).__name__
+
+
+def _quartile_summary(values):
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "iqr": q3 - q1}
+
+
+def test_benchmark_records_hold_their_runs():
+    # A speed claim cites a BENCH_*.json: for each workload, at least 5
+    # alternating parent/change runs of every end-to-end metric that
+    # BENCHMARK.json declares, with the median and IQR of each side.
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = [m["name"] for m in declared["end_to_end"]]
+    workloads = {w["name"] for w in declared["workloads"]}
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        record = json.loads(path.read_text())
+        assert all(re.fullmatch("[0-9a-f]{40}", record["commits"][side])
+                   for side in ("parent", "change")), path.name
+        assert record["machine"]["nproc"] >= 1 and record["machine"]["python"], path.name
+        assert record["workloads"] and set(record["workloads"]) <= workloads, path.name
+        for name, runs in record["workloads"].items():
+            where = f"{path.name}: {name}"
+            assert len(runs["runs"]) >= 5, where
+            assert {run["seed"] for run in runs["runs"]} <= set(runs["seeds"]), where
+            # the side that ran first alternates from pair to pair
+            assert {run["first"] for run in runs["runs"]} == {"parent", "change"}, where
+            for side in ("parent", "change"):
+                for metric in metrics:
+                    values = [run[side][metric] for run in runs["runs"]]
+                    assert all(isinstance(v, (int, float)) for v in values), where
+                    summary = runs["summary"][side][metric]
+                    expected = _quartile_summary(values)
+                    assert all(math.isclose(summary[k], expected[k], abs_tol=1e-12)
+                               for k in ("median", "iqr")), (where, side, metric)
