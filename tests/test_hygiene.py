@@ -298,11 +298,6 @@ def test_value_types_use_slots():
         assert not hasattr(value, "__dict__"), type(value).__name__
 
 
-def _quartile_summary(values):
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return {"median": statistics.median(values), "iqr": q3 - q1}
-
-
 def test_benchmark_records_hold_their_runs():
     # A speed claim cites a BENCH_*.json: for each workload, at least 5
     # alternating parent/change runs of every end-to-end metric that
@@ -323,12 +318,16 @@ def test_benchmark_records_hold_their_runs():
             assert len(runs["runs"]) >= 5, where
             assert {run["seed"] for run in runs["runs"]} <= set(runs["seeds"]), where
             # the side that ran first alternates from pair to pair
-            assert {run["first"] for run in runs["runs"]} == {"parent", "change"}, where
+            firsts = [run["first"] for run in runs["runs"]]
+            assert set(firsts) == {"parent", "change"}, where
+            assert all(a != b for a, b in zip(firsts, firsts[1:])), where
             for side in ("parent", "change"):
                 for metric in metrics:
                     values = [run[side][metric] for run in runs["runs"]]
                     assert all(isinstance(v, (int, float)) for v in values), where
+                    q1, _, q3 = statistics.quantiles(values, n=4)
                     summary = runs["summary"][side][metric]
-                    expected = _quartile_summary(values)
-                    assert all(math.isclose(summary[k], expected[k], abs_tol=1e-12)
-                               for k in ("median", "iqr")), (where, side, metric)
+                    assert math.isclose(summary["median"], statistics.median(values),
+                                        abs_tol=1e-12), (where, side, metric)
+                    assert math.isclose(summary["iqr"], q3 - q1,
+                                        abs_tol=1e-12), (where, side, metric)
