@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 
 from .errors import DimensionError, ParameterError, ResourceLimitError
@@ -197,10 +198,11 @@ class VarietyModel:
     def d(self):
         return self.arrangement.d
 
-    @property
+    @cached_property
     def equations(self):
         """Rows of length n+1 over x_1^p .. x_{n+1}^p: the all-ones row on
-        the first d+2 coordinates, then one row per matrix row."""
+        the first d+2 coordinates, then one row per matrix row.  Built once
+        per model, as `residual` reads them at every point."""
         n, d = self.n, self.d
         rows = []
         first = [Fraction(0)] * (n + 1)

@@ -6,25 +6,26 @@ every character row pairs to zero with its exponent vector mod p: the
 characters of its variables (the columns of the rows), taken with
 multiplicity, sum to zero.  The minimal monomial generators (the Hilbert
 basis of the invariant monoid) are found by a walk over zero-sum-free
-sequences of characters packed into ints.  Their binomial relations come
-from one depth-first walk over generator multisets, keyed by packed-int
-exponent sums, in which each multiset is one int code whose order is the
-order of its index tuple.  Every two members of one sum class form a
-relation, so `find_binomial_relations` returns a `BinomialRelations`
-sequence that stores the classes as codes, with one join record (class,
-count) per joining multiset in two parallel sequences, and decodes the
-(a, b) pairs, in sorted order, only when they are read.  The affine-linear
+sequences of characters packed into ints.  Their binomial relations, with
+at most RELATION_SIDE = 3 generators on a side, come from one depth-first
+walk over generator multisets, keyed by packed-int exponent sums, in which
+each multiset is one int code, a byte per index, whose order is the order
+of its index tuple.  Every two members of one sum class form a relation,
+so `find_binomial_relations` returns a `BinomialRelations` sequence that
+stores the classes as codes, with one join record (class, count) per
+joining multiset in two parallel sequences, and decodes the (a, b) pairs,
+in sorted order, only when they are read.  The affine-linear
 relations coming from the defining equations on the chart x_{n+1}=1, and
 the induced action of the quotient group, are computed here too.
 """
 
-import sys
 from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement, repeat
+from math import comb
 from operator import index
 
 from .errors import (
@@ -191,63 +192,48 @@ def _multiset_exponent_sum(gens, multiset):
     return tuple(total)
 
 
-# Code fields the relation walk may hold, max_side per multiset: max_side=4
-# over the largest quotient-model bases (57 generators) holds about 2.1 M.
+# The largest number of generators on one side of a binomial relation.  At
+# most 8, so a multiset's code, one byte per generator, is one 8-byte word.
+RELATION_SIDE = 3
+
+# Code fields the relation walk may hold, RELATION_SIDE per multiset: the
+# largest quotient-model basis (57 generators) holds about 103 k, and any
+# basis of 199 or more generators is refused.
 RELATION_WALK_CAP = 4_000_000
 
 # Byte translation from a one-byte code field to the generator index it
-# holds: index + 1 -> index, and an unused field, 0 -> 255.
-_FIELD_TO_INDEX = bytes([255, *range(255)])
+# holds, index + 1 -> index; the decoder deletes unused fields, 0, first.
+_FIELD_TO_INDEX = bytes([0, *range(255)])
 
 
 class BinomialRelations(Sequence):
     """The pairs (a, b) of `find_binomial_relations`, in sorted order, held
     as sum classes of multiset codes.  A code is one int: a multiset's
-    indices, each plus one, in `max_side` fields of `field` bytes, the first
+    indices, each plus one, in RELATION_SIDE one-byte fields, the first
     index in the most significant field and unused fields 0, so codes
     compare as the index tuples do.  A class holds its members' codes in
-    descending order, in an array of 8-byte words when they fit one.  Each
-    multiset a that has lexicographically larger partners has one join
-    record, kept in two parallel sequences ascending in a: its class, and
-    its position `count` in the class.  The members before that position
-    are a's partners.  Only the records and the prefix sums of the counts
-    are kept, and codes are decoded only when read: indexing is one
-    bisection and decodes two codes, a slice decodes its pairs in one
-    batch, iteration decodes each class once, and `classes` each member
+    descending order, in an array of 8-byte words.  Each multiset a that
+    has lexicographically larger partners has one join record, kept in two
+    parallel sequences ascending in a: its class, and its position `count`
+    in the class.  The members before that position are a's partners.  Only
+    the records and the prefix sums of the counts are kept, and codes are
+    decoded only when read: indexing is one bisection and decodes two
+    codes, iteration decodes each class once, and `classes` each member
     once."""
 
-    __slots__ = ("_classes", "_counts", "_ends", "_side", "_field")
+    __slots__ = ("_classes", "_counts", "_ends", "_side")
 
-    def __init__(self, classes, counts, max_side, field):
+    def __init__(self, classes, counts, side):
         self._classes = classes
         self._counts = counts
         self._ends = array("Q", accumulate(counts))
-        self._side = max_side
-        self._field = field
+        self._side = side
 
     def _decode(self, codes):
         """The index tuples of the multisets coded by `codes`, in order."""
-        side, field = self._side, self._field
-        if field == 1 and side <= 8:
-            # One buffer of big-endian 8-byte words, translated to indices:
-            # field k of every code is one strided slice, and zipping the
-            # slices gives each multiset, padded with 255 past its end.
-            words = array("Q", codes)
-            if sys.byteorder == "little":
-                words.byteswap()
-            size = words.itemsize
-            buffer = words.tobytes().translate(_FIELD_TO_INDEX)
-            members = list(zip(*(buffer[k::size] for k in range(size - side, size))))
-            last = buffer[size - 1::size]
-            t = last.find(255)
-            while t >= 0:  # a multiset shorter than max_side
-                members[t] = members[t][:members[t].index(255)]
-                t = last.find(255, t + 1)
-            return members
-        bits = 8 * field
-        mask = (1 << bits) - 1
-        shifts = range(bits * (side - 1), -1, -bits)
-        return [tuple(f - 1 for s in shifts if (f := code >> s & mask)) for code in codes]
+        side = self._side
+        return [tuple(c.to_bytes(side, "big").translate(_FIELD_TO_INDEX, b"\0"))
+                for c in codes]
 
     def _pair(self, i):
         """The codes of pair i, for 0 <= i < len(self)."""
@@ -289,110 +275,89 @@ class BinomialRelations(Sequence):
         of its multisets in ascending order; the classes are ordered by
         least member, whose record is the class's first and has count
         len(class) - 1."""
-        groups = [group for group, count in zip(self._classes, self._counts)
-                  if len(group) - count == 1]
-        codes = groups[0][:0] if groups else []  # empty, of the classes' type
-        for group in groups:
-            codes += group[::-1]
-        members = self._decode(codes)
-        out, start = [], 0
-        for group in groups:
-            end = start + len(group)
-            out.append(tuple(members[start:end]))
-            start = end
-        return tuple(out)
+        return tuple(tuple(self._decode(group[::-1]))
+                     for group, count in zip(self._classes, self._counts)
+                     if len(group) - count == 1)
 
 
-def find_binomial_relations(gens, max_side: int = 3) -> BinomialRelations:
+def find_binomial_relations(gens) -> BinomialRelations:
     """All pairs (a, b) of distinct generator multisets, each side of size
-    <= max_side, with equal exponent-vector sums.  Sides are sorted index
-    tuples with a < b, and the sequence is in (a, b) order.
+    <= RELATION_SIDE, with equal exponent-vector sums.  Sides are sorted
+    index tuples with a < b, and the sequence is in (a, b) order.
 
     Each generator is packed into one int, with one field per variable wide
-    enough for a sum of max_side entries, so a multiset's sum is an int
-    addition and its dictionary key.  The multisets are walked depth-first
-    in reverse lexicographic order (larger children first, then the node),
-    and each one's int code (see `BinomialRelations`) joins the class of its
-    sum.  The members already in the class when a multiset joins are its
-    larger partners, so a join into a non-empty class appends the class and
-    its length to the two record sequences, which fill in descending order
-    of the joining multiset and are reversed in place at the end.  The walk
-    keeps no tuple or other tracked object per multiset: one class per
-    distinct sum, and ints.  The upper levels run on an explicit stack of
-    ints, so a large max_side cannot reach the recursion limit, and a node
-    one level short of max_side joins its children in one loop.  The walk
-    keeps a code of max_side fields per multiset, and raises
-    ResourceLimitError past RELATION_WALK_CAP fields.  Exponent
+    enough for a sum of RELATION_SIDE entries, so a multiset's sum is an
+    int addition and its dictionary key.  The multisets are walked
+    depth-first in reverse lexicographic order (larger children first, then
+    the node), and each one's int code (see `BinomialRelations`) joins the
+    class of its sum.  The members already in the class when a multiset
+    joins are its larger partners, so a join into a non-empty class appends
+    the class and its length to the two record sequences, which fill in
+    descending order of the joining multiset and are reversed in place at
+    the end.  The walk visits C(n + RELATION_SIDE, RELATION_SIDE) - 1
+    multisets of n generators, so it raises ResourceLimitError before it
+    starts when they would hold more than RELATION_WALK_CAP code fields, or
+    when n > 255 and an index would not fit a one-byte field.  Exponent
     vectors must be non-negative and of equal length, or the packing is not
     injective."""
-    if not gens or max_side < 1:
-        return BinomialRelations([], [], max_side, 1)
+    side = RELATION_SIDE
+    if not gens:
+        return BinomialRelations([], [], side)
     num_vars = len(gens[0])
     if any(len(g) != num_vars for g in gens):
         raise DimensionError("generator exponent vectors differ in length")
     if any(x < 0 for g in gens for x in g):
         raise ParameterError("generator exponents must be non-negative")
     n = len(gens)
-    width = (max_side * max(max(g, default=0) for g in gens)).bit_length() + 1
+    multisets = comb(n + side, side) - 1
+    if multisets > RELATION_WALK_CAP // side or n > 255:
+        raise ResourceLimitError(
+            f"relation walk over {n} generators would hold {multisets * side} code "
+            f"fields; the cap is {RELATION_WALK_CAP} fields and 255 generators",
+            attempted=multisets * side)
+    width = (side * max(max(g, default=0) for g in gens)).bit_length() + 1
     packed = [sum(x << (width * i) for i, x in enumerate(g)) for g in gens]
-    field = (n.bit_length() + 7) // 8  # code field bytes: holds index + 1 <= n
-    bits = 8 * field
-    mask = (1 << bits) - 1
-    # A class holds its codes in an array of 8-byte words when they fit one;
-    # a new class starts as a copy of this one-code template.
-    template = array("Q", [0]) if field * max_side <= 8 else [0]
+    template = array("Q", [0])  # a new class starts as a copy of this one
     by_sum = {}
     classes, counts = [], array("Q")  # the join records
     get, add_class, add_count = by_sum.get, classes.append, counts.append
-    visited, most = 0, RELATION_WALK_CAP // max_side  # multisets
-    # Flat (key, code, depth) per node: depth k >= 0 to expand it, -k to
-    # join it once its children are done.  Codes here hold a node's k
-    # fields in the low bits; a join shifts them to the top.
-    stack = [0, 0, 0]
-    push, pop = stack.append, stack.pop
-    while stack:
-        depth, code, key = pop(), pop(), pop()
-        if depth < 0:
-            code <<= bits * (max_side + depth)
-            group = get(key)
-            if group is None:
-                by_sum[key] = group = template[:]
-                group[0] = code
-            else:
-                add_class(group)
-                add_count(len(group))
-                group.append(code)
-            continue
-        first = (code & mask) - 1 if depth else 0  # children repeat or exceed it
-        visited += n - first
-        if visited > most:
-            raise ResourceLimitError(
-                f"relation walk passed cap {RELATION_WALK_CAP} code fields",
-                attempted=visited * max_side)
-        if depth:  # the root is the empty multiset
-            push(key)
-            push(code)
-            push(-depth)
-        code = (code << bits) + 1  # child j's code is code + j
-        if depth < max_side - 1:
-            for j in range(first, n):
-                push(key + packed[j])
-                push(code + j)
-                push(depth + 1)
-            continue
+
+    def walk(key, code, first, depth):
+        # Joins the multisets below one node of `depth` generators, whose
+        # code holds its fields in the low bytes; child j's code is base + j.
+        base = (code << 8) + 1
+        if depth < side - 1:
+            shift = 8 * (side - 1 - depth)  # a child's code, moved to the top
+            for j in range(n - 1, first - 1, -1):
+                s = key + packed[j]
+                walk(s, base + j, j, depth + 1)
+                group = get(s)
+                if group is None:
+                    by_sum[s] = group = template[:]
+                    group[0] = base + j << shift
+                else:
+                    add_class(group)
+                    add_count(len(group))
+                    group.append(base + j << shift)
+            return
         for j in range(n - 1, first - 1, -1):  # the children are leaves
             s = key + packed[j]
             group = get(s)
             if group is None:
                 by_sum[s] = group = template[:]
-                group[0] = code + j
+                group[0] = base + j
             else:
                 add_class(group)
                 add_count(len(group))
-                group.append(code + j)
+                group.append(base + j)
+
+    walk(0, 0, 0, 0)
+    # walk's closure holds walk itself: unbound, the cycle and by_sum go
+    # now, not at the collector's next pass
+    del walk
     classes.reverse()
     counts.reverse()
-    return BinomialRelations(classes, counts, max_side, field)
+    return BinomialRelations(classes, counts, side)
 
 
 def verify_relations(gens, relations):
@@ -521,10 +486,11 @@ def induced_action(K: Subgroup, gens):
 def quotient_model_report(K: Subgroup, model=None):
     """JSON-ready quotient model: named generators, binomial relations,
     optional linear relations (needs the variety model), induced action.
-    The binomial relations are reported as their count and their sum
-    classes, each a list of monomials such as "u1*u4" that are all equal, so
-    every two members of a class form one relation, and the report grows
-    with the relation walk, not with the number of pairs."""
+    The binomial relations are reported as their count, their bound
+    RELATION_SIDE on the generators per side, and their sum classes, each a
+    list of monomials such as "u1*u4" that are all equal, so every two
+    members of a class form one relation, and the report grows with the
+    relation walk, not with the number of pairs."""
     action = action_from_subgroup(K)
     gens = hilbert_basis(action)
     names = [f"u{i + 1}" for i in range(len(gens))]
@@ -535,6 +501,7 @@ def quotient_model_report(K: Subgroup, model=None):
         ],
         "binomial_relations": {
             "count": len(binomials),
+            "max_side": RELATION_SIDE,
             "classes": [
                 ["*".join(map(names.__getitem__, side)) for side in group]
                 for group in binomials.classes

@@ -22,8 +22,6 @@ CALLERS = ("src", "bench", "scripts")
 # Defaulted parameters that no caller outside the tests sets, each kept on
 # purpose ("function.parameter", methods as "Class.method.parameter").
 ALLOWED = {
-    "find_binomial_relations.max_side":
-        "the tests need max_side=4 to reach the golden 4-element-side relations",
     "main.argv": "the entry point: None reads sys.argv",
 }
 

@@ -1,8 +1,11 @@
 """Invariant monomials, Hilbert bases, relations, and induced actions."""
 
+import gc
+import json
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +35,12 @@ from genfermat.invariants import (
     quotient_model_report,
     verify_relations,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+QUOTIENT_MODELS = ROOT / "bench" / "reference" / "quotient_models.json"
+# The benchmark checks about this many relations per subgroup
+# (RELATION_SAMPLE in bench/workloads.py).
+RELATION_SAMPLE = 64
 
 
 def reference_action():
@@ -167,10 +176,11 @@ def test_invariant_monomials_up_to():
     assert set(monos) == {(2, 0), (1, 1), (0, 2)}
 
 
-def test_binomial_relations_found_and_verified():
+def test_binomial_relations_found_and_verified(monkeypatch):
     _, act = reference_action()
     gens = hilbert_basis(act)
-    rels = find_binomial_relations(gens, max_side=4)
+    monkeypatch.setattr(invariants, "RELATION_SIDE", 4)
+    rels = find_binomial_relations(gens)
     assert rels
     assert all(verify_relations(gens, rels))
     # a deliberately wrong relation fails
@@ -204,7 +214,11 @@ def test_binomial_relations_match_oracle(data):
     gens = data.draw(st.lists(st.tuples(*[st.integers(0, 3) for _ in range(nv)]),
                               min_size=1, max_size=12))
     max_side = data.draw(st.integers(1, 4))
-    rels = find_binomial_relations(gens, max_side=max_side)
+    # hypothesis runs many examples per test call, so it takes no
+    # function-scoped monkeypatch fixture
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invariants, "RELATION_SIDE", max_side)
+        rels = find_binomial_relations(gens)
     want = binomial_relations_oracle(gens, max_side)
     assert list(rels) == want
     assert [list(group) for group in rels.classes] == sorted(
@@ -223,20 +237,28 @@ def test_binomial_relations_match_oracle(data):
 
 
 @pytest.mark.parametrize("max_side", [4, 5])
-def test_binomial_relations_count_the_sum_classes(max_side):
-    rels = find_binomial_relations(EXAMPLE_GENERATORS, max_side=max_side)
+def test_binomial_relations_count_the_sum_classes(monkeypatch, max_side):
+    monkeypatch.setattr(invariants, "RELATION_SIDE", max_side)
+    rels = find_binomial_relations(EXAMPLE_GENERATORS)
     classes = relation_classes_oracle(EXAMPLE_GENERATORS, max_side)
     assert len(rels) == sum(comb(len(group), 2) for group in classes)
     assert set(rels) == set(binomial_relations_oracle(EXAMPLE_GENERATORS, max_side))
 
 
 @pytest.mark.parametrize("n", [255, 260])
-def test_binomial_relations_past_one_byte_indices(n):
+def test_binomial_relations_past_one_byte_indices(monkeypatch, n):
     # 255 generators fill one-byte code fields (index 254 beside the unused
-    # fields); 260 need two-byte fields.  The zero vector (i = 0) puts
+    # fields); 260 would need two-byte fields and are refused, though at
+    # side 2 their walk is under the cap.  The zero vector (i = 0) puts
     # shorter multisets in classes with longer ones.
+    monkeypatch.setattr(invariants, "RELATION_SIDE", 2)
     gens = [(i, i * i % 61) for i in range(n)]
-    rels = find_binomial_relations(gens, max_side=2)
+    if n > 255:
+        with pytest.raises(ResourceLimitError) as info:
+            find_binomial_relations(gens)
+        assert info.value.attempted == (comb(n + 2, 2) - 1) * 2
+        return
+    rels = find_binomial_relations(gens)
     want = binomial_relations_oracle(gens, 2)
     assert list(rels) == want
     assert [list(group) for group in rels.classes] == sorted(
@@ -248,44 +270,57 @@ def test_binomial_relations_past_one_byte_indices(n):
         assert rels[::k] == want[::k]
 
 
-def test_binomial_relations_wider_than_a_word():
-    # nine one-byte fields: codes no longer fit one 8-byte word
-    gens = [(1, 0), (0, 1), (1, 1), (2, 1)]
-    rels = find_binomial_relations(gens, max_side=9)
-    want = binomial_relations_oracle(gens, 9)
-    assert list(rels) == want
-    assert [list(group) for group in rels.classes] == sorted(
-        group for group in relation_classes_oracle(gens, 9) if len(group) > 1)
-    assert rels[::5] == want[::5]
-    assert rels[-2] == want[-2]
-
-
 def test_binomial_relations_walk_cap(monkeypatch):
-    # the cap counts code fields, max_side per multiset: 40 fields are 20
-    # multisets of two
+    # the cap counts code fields, RELATION_SIDE per multiset: 40 fields are
+    # 20 multisets of two
     monkeypatch.setattr(invariants, "RELATION_WALK_CAP", 40)
-    assert list(find_binomial_relations([(1, 0), (0, 1), (1, 1)], max_side=2)) == [((0, 1), (2,))]
+    monkeypatch.setattr(invariants, "RELATION_SIDE", 2)
+    assert list(find_binomial_relations([(1, 0), (0, 1), (1, 1)])) == [((0, 1), (2,))]
     with pytest.raises(ResourceLimitError) as info:
-        find_binomial_relations(EXAMPLE_GENERATORS, max_side=2)
-    # 13 children of the root, then 1, 2, 3 and 4 below its last four: 23
-    # multisets, 46 fields
-    assert info.value.attempted == 46
-    # the walk keeps its own stack: a deep walk meets the cap, not the
-    # recursion limit, here at depth 5001, holding about 12.5 M fields
-    monkeypatch.setattr(invariants, "RELATION_WALK_CAP", 5000 * 100_000)
-    with pytest.raises(ResourceLimitError) as info:
-        find_binomial_relations([(1,)], max_side=100_000)
-    assert info.value.attempted == 5001 * 100_000
+        find_binomial_relations(EXAMPLE_GENERATORS)
+    # refused before the walk: all C(15, 2) - 1 multisets of 13 generators
+    assert info.value.attempted == (comb(15, 2) - 1) * 2
 
 
-def test_binomial_relations_cap_bounds_code_fields(monkeypatch):
-    # One generator visits only max_side multisets, but keeps max_side + 1
-    # codes of max_side fields and a stack of codes of 1..max_side fields:
-    # 4000 multisets under a cap of 5000 would hold about 24 M fields.
-    monkeypatch.setattr(invariants, "RELATION_WALK_CAP", 5000)
+@pytest.mark.parametrize("side", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 5, 13])
+def test_binomial_relations_cap_is_exact(monkeypatch, side, n):
+    # The walk visits C(n + side, side) - 1 multisets: a cap of exactly
+    # their fields lets it run, and one field fewer refuses it.
+    gens = [(i, 1) for i in range(n)]
+    fields = (comb(n + side, side) - 1) * side
+    monkeypatch.setattr(invariants, "RELATION_SIDE", side)
+    monkeypatch.setattr(invariants, "RELATION_WALK_CAP", fields)
+    assert len(find_binomial_relations(gens)) == len(binomial_relations_oracle(gens, side))
+    monkeypatch.setattr(invariants, "RELATION_WALK_CAP", fields - 1)
     with pytest.raises(ResourceLimitError) as info:
-        find_binomial_relations([(1,)], max_side=4000)
-    assert info.value.attempted == 2 * 4000
+        find_binomial_relations(gens)
+    assert info.value.attempted == fields
+
+
+def test_binomial_relations_match_the_frozen_quotient_models():
+    # The benchmark's reference freezes each subgroup's Hilbert basis and
+    # relation count; the relations are checked on the strided sample that
+    # the benchmark takes.
+    subgroups = json.loads(QUOTIENT_MODELS.read_text())["subgroups"]
+    assert len(subgroups) == 65
+    for name, entry in subgroups.items():
+        gens = [tuple(v) for v in entry["hilbert_basis"]]
+        rels = find_binomial_relations(gens)
+        assert len(rels) == entry["relations"], name
+        sample = rels[::max(1, len(rels) // RELATION_SAMPLE)]
+        assert len(sample) >= min(len(rels), RELATION_SAMPLE), name
+        assert all(verify_relations(gens, sample)), name
+
+
+def test_binomial_relations_leave_no_garbage_cycle():
+    # The walk's closure refers to itself.  Left as a cycle, it keeps the
+    # sum index until the collector's next pass: walking the 65 frozen
+    # quotient-model bases three times then peaked 7.5 MB higher.
+    gc.collect()
+    rels = find_binomial_relations(EXAMPLE_GENERATORS)
+    assert gc.collect() == 0
+    assert len(rels) == 124
 
 
 def test_binomial_relations_input_contract():
@@ -297,15 +332,16 @@ def test_binomial_relations_input_contract():
         find_binomial_relations([(1, 0), (2, -1)])
 
 
-def test_binomial_relations_contain_the_golden_relations():
+def test_binomial_relations_contain_the_golden_relations(monkeypatch):
     golden = [tuple(sorted(tuple(sorted(i - 1 for i in side)) for side in rel))
               for rel in EXAMPLE_RELATIONS]
     four_sided = {rel for rel in golden if max(map(len, rel)) == 4}
     assert len(four_sided) == 3
-    assert set(golden) <= set(find_binomial_relations(EXAMPLE_GENERATORS, max_side=4))
     default = find_binomial_relations(EXAMPLE_GENERATORS)
     assert len(default) == 124
     assert set(golden) - set(default) == four_sided
+    monkeypatch.setattr(invariants, "RELATION_SIDE", 4)
+    assert set(golden) <= set(find_binomial_relations(EXAMPLE_GENERATORS))
 
 
 def test_linear_relations_on_fermat_chart():
@@ -355,6 +391,7 @@ def test_quotient_model_report_shape():
     assert report["generators"][0]["name"] == "u1"
     relations = report["binomial_relations"]
     assert relations["count"] == 124  # as find_binomial_relations(EXAMPLE_GENERATORS)
+    assert relations["max_side"] == 3
     assert sum(comb(len(group), 2) for group in relations["classes"]) == 124
     names = {g["name"]: g["exponents"] for g in report["generators"]}
     for group in relations["classes"]:
