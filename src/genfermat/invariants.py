@@ -12,11 +12,10 @@ walk over generator multisets, keyed by packed-int exponent sums, in which
 each multiset is one int code, a byte per index, whose order is the order
 of its index tuple.  Every two members of one sum class form a relation,
 so `find_binomial_relations` returns a `BinomialRelations` sequence that
-stores the classes as codes, with one join record (class, count) per
-joining multiset in two parallel sequences, and decodes the (a, b) pairs,
-in sorted order, only when they are read.  The affine-linear
-relations coming from the defining equations on the chart x_{n+1}=1, and
-the induced action of the quotient group, are computed here too.
+stores the classes as arrays of codes and decodes the (a, b) pairs,
+class-major, only when they are read.  The affine-linear relations coming
+from the defining equations on the chart x_{n+1}=1, and the induced action
+of the quotient group, are computed here too.
 """
 
 from array import array
@@ -24,8 +23,8 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement, repeat
-from math import comb
+from itertools import accumulate, combinations, combinations_with_replacement
+from math import comb, isqrt
 from operator import index
 
 from .errors import (
@@ -207,26 +206,23 @@ _FIELD_TO_INDEX = bytes([0, *range(255)])
 
 
 class BinomialRelations(Sequence):
-    """The pairs (a, b) of `find_binomial_relations`, in sorted order, held
-    as sum classes of multiset codes.  A code is one int: a multiset's
-    indices, each plus one, in RELATION_SIDE one-byte fields, the first
-    index in the most significant field and unused fields 0, so codes
-    compare as the index tuples do.  A class holds its members' codes in
-    descending order, in an array of 8-byte words.  Each multiset a that
-    has lexicographically larger partners has one join record, kept in two
-    parallel sequences ascending in a: its class, and its position `count`
-    in the class.  The members before that position are a's partners.  Only
-    the records and the prefix sums of the counts are kept, and codes are
-    decoded only when read: indexing is one bisection and decodes two
-    codes, iteration decodes each class once, and `classes` each member
-    once."""
+    """The pairs (a, b) of `find_binomial_relations`, class-major, held as
+    sum classes of multiset codes.  A code is one int: a multiset's indices,
+    each plus one, in RELATION_SIDE one-byte fields, the first index in the
+    most significant field and unused fields 0, so codes compare as the
+    index tuples do.  A class holds its members' codes in ascending order,
+    in an array of 8-byte words, and the classes come in order of their
+    least member; the pairs of a class are its members' combinations(., 2).
+    Only the classes of two or more members and the prefix sums of their
+    pair counts are kept, and codes are decoded only when read: indexing is
+    one bisection and decodes two codes, iteration and `classes` decode
+    each member once."""
 
-    __slots__ = ("_classes", "_counts", "_ends", "_side")
+    __slots__ = ("_classes", "_ends", "_side")
 
-    def __init__(self, classes, counts, side):
+    def __init__(self, classes, side):
         self._classes = classes
-        self._counts = counts
-        self._ends = array("Q", accumulate(counts))
+        self._ends = array("Q", accumulate(comb(len(group), 2) for group in classes))
         self._side = side
 
     def _decode(self, codes):
@@ -239,7 +235,13 @@ class BinomialRelations(Sequence):
         """The codes of pair i, for 0 <= i < len(self)."""
         j = bisect_right(self._ends, i)
         group = self._classes[j]
-        return group[self._counts[j]], group[self._ends[j] - 1 - i]
+        # t pairs of the class follow pair i.  The last k rows of its
+        # triangle hold C(k + 1, 2) pairs, so pair i is in the row with
+        # C(k, 2) <= t < C(k + 1, 2), whose b ranges over the last k members.
+        t = self._ends[j] - 1 - i
+        k = (isqrt(8 * t + 1) + 1) // 2
+        last = len(group) - 1
+        return group[last - k], group[last - t + comb(k, 2)]
 
     def __len__(self):
         return self._ends[-1] if self._ends else 0
@@ -257,44 +259,33 @@ class BinomialRelations(Sequence):
         return tuple(self._decode(self._pair(i)))
 
     def __iter__(self):
-        # A class's first record (its least member) has the largest count
-        # and its last record count 1, so each class is decoded once and
-        # dropped after its last record.
-        decoded = {}
-        for group, count in zip(self._classes, self._counts):
-            members = decoded.get(id(group))
-            if members is None:
-                members = decoded[id(group)] = self._decode(group)
-            if count == 1:
-                del decoded[id(group)]
-            yield from zip(repeat(members[count]), members[count - 1::-1])
+        # each class is decoded once, when its pairs are reached
+        for group in self._classes:
+            yield from combinations(self._decode(group), 2)
 
     @property
     def classes(self) -> tuple:
         """The sum classes with at least two members, each once, as a tuple
         of its multisets in ascending order; the classes are ordered by
-        least member, whose record is the class's first and has count
-        len(class) - 1."""
-        return tuple(tuple(self._decode(group[::-1]))
-                     for group, count in zip(self._classes, self._counts)
-                     if len(group) - count == 1)
+        least member."""
+        return tuple(tuple(self._decode(group)) for group in self._classes)
 
 
 def find_binomial_relations(gens) -> BinomialRelations:
     """All pairs (a, b) of distinct generator multisets, each side of size
     <= RELATION_SIDE, with equal exponent-vector sums.  Sides are sorted
-    index tuples with a < b, and the sequence is in (a, b) order.
+    index tuples with a < b, and the sequence is class-major: the sum
+    classes in order of their least member, the pairs of a class in (a, b)
+    order.
 
     Each generator is packed into one int, with one field per variable wide
     enough for a sum of RELATION_SIDE entries, so a multiset's sum is an
     int addition and its dictionary key.  The multisets are walked
-    depth-first in reverse lexicographic order (larger children first, then
-    the node), and each one's int code (see `BinomialRelations`) joins the
-    class of its sum.  The members already in the class when a multiset
-    joins are its larger partners, so a join into a non-empty class appends
-    the class and its length to the two record sequences, which fill in
-    descending order of the joining multiset and are reversed in place at
-    the end.  The walk visits C(n + RELATION_SIDE, RELATION_SIDE) - 1
+    depth-first in ascending order (the node, then its children by
+    ascending index), and each one's int code (see `BinomialRelations`) is
+    appended to the class of its sum, so each class fills in ascending
+    order and the sum index meets the classes in order of their least
+    member.  The walk visits C(n + RELATION_SIDE, RELATION_SIDE) - 1
     multisets of n generators, so it raises ResourceLimitError before it
     starts when they would hold more than RELATION_WALK_CAP code fields, or
     when n > 255 and an index would not fit a one-byte field.  Exponent
@@ -302,7 +293,7 @@ def find_binomial_relations(gens) -> BinomialRelations:
     injective."""
     side = RELATION_SIDE
     if not gens:
-        return BinomialRelations([], [], side)
+        return BinomialRelations([], side)
     num_vars = len(gens[0])
     if any(len(g) != num_vars for g in gens):
         raise DimensionError("generator exponent vectors differ in length")
@@ -319,8 +310,7 @@ def find_binomial_relations(gens) -> BinomialRelations:
     packed = [sum(x << (width * i) for i, x in enumerate(g)) for g in gens]
     template = array("Q", [0])  # a new class starts as a copy of this one
     by_sum = {}
-    classes, counts = [], array("Q")  # the join records
-    get, add_class, add_count = by_sum.get, classes.append, counts.append
+    get = by_sum.get
 
     def walk(key, code, first, depth):
         # Joins the multisets below one node of `depth` generators, whose
@@ -328,36 +318,30 @@ def find_binomial_relations(gens) -> BinomialRelations:
         base = (code << 8) + 1
         if depth < side - 1:
             shift = 8 * (side - 1 - depth)  # a child's code, moved to the top
-            for j in range(n - 1, first - 1, -1):
+            for j in range(first, n):
                 s = key + packed[j]
-                walk(s, base + j, j, depth + 1)
                 group = get(s)
                 if group is None:
                     by_sum[s] = group = template[:]
                     group[0] = base + j << shift
                 else:
-                    add_class(group)
-                    add_count(len(group))
                     group.append(base + j << shift)
+                walk(s, base + j, j, depth + 1)
             return
-        for j in range(n - 1, first - 1, -1):  # the children are leaves
+        for j in range(first, n):  # the children are leaves
             s = key + packed[j]
             group = get(s)
             if group is None:
                 by_sum[s] = group = template[:]
                 group[0] = base + j
             else:
-                add_class(group)
-                add_count(len(group))
                 group.append(base + j)
 
     walk(0, 0, 0, 0)
     # walk's closure holds walk itself: unbound, the cycle and by_sum go
     # now, not at the collector's next pass
     del walk
-    classes.reverse()
-    counts.reverse()
-    return BinomialRelations(classes, counts, side)
+    return BinomialRelations([group for group in by_sum.values() if len(group) > 1], side)
 
 
 def verify_relations(gens, relations):

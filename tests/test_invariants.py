@@ -2,6 +2,7 @@
 
 import gc
 import json
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
@@ -202,9 +203,10 @@ def relation_classes_oracle(gens, max_side):
 
 def binomial_relations_oracle(gens, max_side):
     """Brute-force oracle for `find_binomial_relations`: all pairs (a, b)
-    with a < b in each sum class, sorted."""
-    return sorted(pair for group in relation_classes_oracle(gens, max_side)
-                  for pair in combinations(group, 2))
+    with a < b in each sum class, class-major: the classes in order of
+    their least member, then the pairs of a class in order."""
+    return [pair for group in sorted(relation_classes_oracle(gens, max_side))
+            for pair in combinations(group, 2)]
 
 
 @given(st.data())
@@ -223,6 +225,7 @@ def test_binomial_relations_match_oracle(data):
     assert list(rels) == want
     assert [list(group) for group in rels.classes] == sorted(
         group for group in relation_classes_oracle(gens, max_side) if len(group) > 1)
+    assert list(rels) == [pair for c in rels.classes for pair in combinations(c, 2)]
     assert len(rels) == len(want)
     assert [rels[i] for i in range(len(want))] == want
     assert [rels[i] for i in range(-len(want), 0)] == want
@@ -308,9 +311,31 @@ def test_binomial_relations_match_the_frozen_quotient_models():
         gens = [tuple(v) for v in entry["hilbert_basis"]]
         rels = find_binomial_relations(gens)
         assert len(rels) == entry["relations"], name
+        assert len(rels) == sum(comb(len(c), 2) for c in rels.classes), name
         sample = rels[::max(1, len(rels) // RELATION_SAMPLE)]
         assert len(sample) >= min(len(rels), RELATION_SAMPLE), name
         assert all(verify_relations(gens, sample)), name
+
+
+def test_binomial_relations_memory_on_the_largest_frozen_basis():
+    # The largest frozen quotient-model basis has 57 generators and 338,599
+    # relations.  Held as class-major sum classes they peak at 0.96-0.97 MB
+    # under tracemalloc on CPython 3.10-3.12; a record per multiset on top
+    # of the classes would reach about 1.6 MB.
+    subgroups = json.loads(QUOTIENT_MODELS.read_text())["subgroups"]
+    gens = max(([tuple(v) for v in entry["hilbert_basis"]] for entry in subgroups.values()),
+               key=len)
+    assert len(gens) == 57
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rels = find_binomial_relations(gens)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(rels) == 338_599
+    assert peak <= 1.2 * 2**20
 
 
 def test_binomial_relations_leave_no_garbage_cycle():
