@@ -50,7 +50,6 @@ from .groups import (
     Subgroup,
     canonical_key,
     is_prime,
-    nullspace_mod_p,
     subgroup_canonical_key,
     subgroup_element_basis,
     subgroup_from_lift_rows,
@@ -60,6 +59,9 @@ from .groups import (
 
 @dataclass(frozen=True)
 class EnumerationTask:
+    """One cell (d, p, n, m) of the paper's domain: p prime (and at most 255,
+    as the walk reads rows off bytes), d+1 <= n and 0 <= m <= n."""
+
     d: int
     p: int
     n: int
@@ -69,12 +71,10 @@ class EnumerationTask:
     def __post_init__(self):
         if not is_prime(self.p):
             raise UnsupportedParameterError(f"enumeration requires p prime, got {self.p}")
-        if self.p > 255:
-            raise UnsupportedParameterError(
-                f"enumeration keys hold one byte per entry, so p <= 255, got {self.p}"
-            )
-        if not (1 <= self.d <= self.n) or not (0 <= self.m <= self.n):
-            raise ParameterError(f"bad task parameters d={self.d}, n={self.n}, m={self.m}")
+        if not (1 <= self.d < self.n) or not (0 <= self.m <= self.n):
+            raise ParameterError("need 1 <= d, d+1 <= n and 0 <= m <= n; "
+                                 f"bad task parameters d={self.d}, n={self.n}, m={self.m}")
+        self.params.require_byte_entries()
         if self.cap_subspaces < 0:
             raise ParameterError(f"cap_subspaces must be non-negative, got {self.cap_subspaces}")
 
@@ -101,11 +101,13 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
 
 
 def necessary_bounds(d: int, p: int, n: int, m: int) -> Verdict:
-    """Sound pruning: Empty verdicts are proven; PossiblyNonempty promises
-    nothing.  The rank bound needs d >= 2: 1-freeness only asks for nonzero
-    quotient columns, which may repeat."""
+    """Sound pruning on the paper's domain d+1 <= n: Empty verdicts are
+    proven; PossiblyNonempty promises nothing.  The rank bound needs d >= 2:
+    1-freeness only asks for nonzero quotient columns, which may repeat."""
     if not is_prime(p):
         raise UnsupportedParameterError(f"requires p prime, got {p}")
+    if n < d + 1:
+        raise ParameterError(f"need d+1 <= n, got d={d}, n={n}")
     if m < d:
         return Verdict(False, f"quotient rank m={m} below dimension d={d}")
     if m == d == 2 and p < 4:
@@ -219,12 +221,11 @@ def _leaves(packed, k, d, share):
     P_i is minus row i restricted to Q, and the dependent column c_0 (the
     lift's coordinate 0, outside the walk) is minus their sum, so each row
     fixes one column and the walk never eliminates.  At k = 0 the columns
-    are the m unit vectors and -all-ones, which has support m, so it lies
-    in the span of at most d-1 of them iff m < d, and the lift is
-    all-ones."""
+    are the m = n >= d+1 unit vectors and -all-ones, whose only vanishing
+    combination takes all m+1 > d of them, so the one kernel is trivial and
+    free, and its lift is all-ones."""
     if k == 0:
-        if packed.m >= d:
-            yield ((1,) * (packed.m + 1),)
+        yield ((1,) * (packed.m + 1),)
         return
     spans = [{0} for _ in range(d)]
     for t in range(packed.m):
@@ -419,8 +420,7 @@ def classify_orbits(subgroups):
     for cell in sorted(cells.values(), key=lambda cell: canonical_key(cell[0].params, ())):
         cell.sort(key=attrgetter("basis"))
         p, n = cell[0].params.p, cell[0].params.n
-        if p > 255:
-            raise UnsupportedParameterError(f"rows are packed as bytes, so p <= 255, got {p}")
+        cell[0].params.require_byte_entries()  # rows are packed from their bytes
         packed = Packed.byte_fields(p, n + 1)
         step = packed.w // 8  # an entry is the low byte of its field
         buf = bytearray(step * (n + 1))
@@ -542,10 +542,7 @@ def canonical_orbit_key(K: Subgroup) -> bytes:
     information sets of K's lift basis (`_least_orbit_form`), at most
     C(n+1, k+1) <= INFORMATION_SET_CAP eliminations of k+1 packed rows and a
     pruned search over their row orders, with no orbit closure."""
-    if K.params.p > 255:
-        raise UnsupportedParameterError(
-            f"canonical keys hold one byte per entry, so p <= 255, got {K.params.p}"
-        )
+    K.params.require_byte_entries()
     count = comb(K.params.n + 1, len(K.basis))
     if count > INFORMATION_SET_CAP:
         raise ResourceLimitError(
@@ -560,31 +557,63 @@ def canonical_orbit_key(K: Subgroup) -> bytes:
 # ---------------------------------------------------------------------------
 
 def _kernel_from_columns(cols, params: GroupParams) -> Subgroup:
-    """Kernel of the quotient map sending phi_j to the column vector
-    cols[j-1]; the columns must sum to zero mod p."""
-    p = params.p
-    m = len(cols[0])
-    if any(sum(c[i] for c in cols) % p for i in range(m)):
+    """Kernel of the quotient map [I_m | C] sending phi_1..phi_m to the unit
+    vectors and phi_{m+j} to cols[j-1], the columns of C.  Its lift is read
+    off the map: x lies in it iff x_t = -sum_j C[t][j] x_{m+j} for t < m, so
+    it is spanned by e_{m+j} - sum_t C[t][j] e_t, with no elimination.  The
+    n+1 columns must sum to zero mod p (the product relation), or all-ones
+    would not lie in the lift."""
+    p, m = params.p, len(cols[0])
+    if any((1 + sum(c[t] for c in cols)) % p for t in range(m)):
         raise InconsistencyError("columns do not satisfy the product relation")
-    # elements x (normalized coords 1..n) in kernel: sum x_j cols[j] = 0
-    mat = [tuple(cols[j][i] for j in range(params.n)) for i in range(m)]
-    basis = nullspace_mod_p(mat, p, ncols=params.n)
-    rows = [row + (0,) for row in basis]
+    rows = [tuple(-x % p for x in c) + tuple(int(i == j) for i in range(len(cols)))
+            for j, c in enumerate(cols)]
     return subgroup_from_lift_rows(rows, params)
-
-
-def _unit(m, i):
-    return tuple(1 if j == i else 0 for j in range(m))
 
 
 def _sum_units(m, idxs):
     return tuple(1 if j in idxs else 0 for j in range(m))
 
 
+def _family_columns(kind: str, n: int, m: int):
+    """(n, C) for the family `kind` of `construct_family`: C lists the
+    columns after the m unit vectors, the 0/1 vectors on its index blocks."""
+    if kind == "n_minus_1":
+        if n is None or n < 5:
+            raise ParameterError("n_minus_1 family requires n >= 5")
+        m = n - 1
+        blocks = (range(m // 2), range(m // 2, m))
+    elif kind == "n_minus_2":
+        if n is None or n < 6:
+            raise ParameterError("n_minus_2 family requires n >= 6")
+        m = n - 2
+        if m >= 6:
+            blocks = ((0, 1), (2, 3), range(4, m))
+        else:
+            # Too few indices for a disjoint partition; use overlapping
+            # blocks whose characteristic vectors are still distinct,
+            # of weight >= 2, and sum to the all-ones vector.
+            blocks = ((0, 1), (1, 2), (1, *range(3, m)))
+    elif kind == "even_m":
+        if m is None or m < 4 or m % 2:
+            raise ParameterError("even_m family requires even m >= 4")
+        n = (m - 1) * (m + 2) // 2
+        blocks = combinations(range(m), 2)
+    elif kind == "odd_m":
+        if m is None or m < 3 or m % 2 == 0:
+            raise ParameterError("odd_m family requires odd m >= 3")
+        n = m * (m + 1) // 2
+        blocks = list(combinations(range(m), 2)) + [range(m)]
+    else:
+        raise ParameterError(f"unknown family kind {kind!r}")
+    return n, [_sum_units(m, b) for b in blocks]
+
+
 def construct_family(kind: str, *, n: int = None, m: int = None) -> Subgroup:
     """Explicit freely-acting kernels for p=2 and d=2, each the kernel of a
     quotient map whose columns are the m unit vectors followed by 0/1
-    vectors of weight >= 2 on fixed index blocks.
+    vectors of weight >= 2 on fixed index blocks (`_family_columns`), so
+    its lift is read off the columns (`_kernel_from_columns`).
 
     kind one of:
       n_minus_1: quotient rank n-1, needs n >= 5; two halves of the indices
@@ -594,48 +623,8 @@ def construct_family(kind: str, *, n: int = None, m: int = None) -> Subgroup:
       odd_m:     quotient rank m (odd, >= 3), n = m(m+1)/2; all pairs and
                  the full index set
     """
-    if kind == "n_minus_1":
-        if n is None or n < 5:
-            raise ParameterError("n_minus_1 family requires n >= 5")
-        mm = n - 1
-        half = mm // 2
-        blocks = (range(half), range(half, mm))
-        cols = [_unit(mm, i) for i in range(mm)]
-        cols += [_sum_units(mm, b) for b in blocks]
-    elif kind == "n_minus_2":
-        if n is None or n < 6:
-            raise ParameterError("n_minus_2 family requires n >= 6")
-        mm = n - 2
-        if mm >= 6:
-            blocks = ((0, 1), (2, 3), range(4, mm))
-        else:
-            # Too few indices for a disjoint partition; use overlapping
-            # blocks whose characteristic vectors are still distinct,
-            # of weight >= 2, and sum to the all-ones vector.
-            blocks = ((0, 1), (1, 2), (1, *range(3, mm)))
-        cols = [_unit(mm, i) for i in range(mm)]
-        cols += [_sum_units(mm, b) for b in blocks]
-    elif kind == "even_m":
-        if m is None or m < 4 or m % 2:
-            raise ParameterError("even_m family requires even m >= 4")
-        mm = m
-        n = (m - 1) * (m + 2) // 2
-        cols = [_unit(mm, i) for i in range(mm)]
-        cols += [_sum_units(mm, {i, j}) for i, j in combinations(range(mm), 2)]
-    elif kind == "odd_m":
-        if m is None or m < 3 or m % 2 == 0:
-            raise ParameterError("odd_m family requires odd m >= 3")
-        mm = m
-        n = m * (m + 1) // 2
-        cols = [_unit(mm, i) for i in range(mm)]
-        cols += [_sum_units(mm, {i, j}) for i, j in combinations(range(mm), 2)]
-        cols.append(_sum_units(mm, set(range(mm))))
-    else:
-        raise ParameterError(f"unknown family kind {kind!r}")
-    params = GroupParams(p=2, n=n, d=2)
-    if len(cols) != n + 1:
-        raise InconsistencyError("column count mismatch in family construction")
-    return _kernel_from_columns(cols, params)
+    n, cols = _family_columns(kind, n, m)
+    return _kernel_from_columns(cols, GroupParams(p=2, n=n, d=2))
 
 
 # ---------------------------------------------------------------------------

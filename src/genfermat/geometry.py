@@ -95,18 +95,17 @@ class Arrangement:
 
 def in_general_position(arr: Arrangement) -> bool:
     """Every k <= d+1 of the coefficient vectors has full rank k (so every
-    k <= d hyperplanes meet in dimension d-k and every d+1 meet emptily)."""
-    planes = arr.hyperplanes
-    for k in range(2, min(arr.d + 1, len(planes)) + 1):
-        for subset in combinations(planes, k):
-            if rational_rank(subset) < k:
-                return False
-    return True
+    k <= d hyperplanes meet in dimension d-k and every d+1 meet emptily).
+    Only the (d+1)-subsets are tested: there are n+1 >= d+2 vectors, so
+    every smaller subset lies in one of them, and a subset of independent
+    vectors is independent."""
+    return all(rational_rank(subset) == arr.d + 1
+               for subset in combinations(arr.hyperplanes, arr.d + 1))
 
 
 def in_general_position_minors(arr: Arrangement) -> bool:
     """Independent slow check: determinant of every maximal square minor of
-    every subset, by cofactor expansion."""
+    every subset of every size 2..d+1, by cofactor expansion."""
 
     def det(mat):
         k = len(mat)

@@ -59,6 +59,13 @@ class GroupParams:
                 f"operation requires p prime, got p={self.p}"
             )
 
+    def require_byte_entries(self):
+        """Keys and byte-packed rows hold one byte per entry."""
+        if self.p > 255:
+            raise UnsupportedParameterError(
+                f"entries are held one byte each, so p <= 255, got {self.p}"
+            )
+
 
 @dataclass(frozen=True, slots=True)
 class GroupElement:
@@ -221,25 +228,6 @@ def rank_mod_p(rows, p) -> int:
     return len(rref_mod_p(rows, p))
 
 
-def nullspace_mod_p(rows, p, ncols=None):
-    """Basis (RREF) of {x : rows @ x = 0} over F_p."""
-    rows = rref_mod_p(rows, p) if rows else ()
-    if ncols is None:
-        if not rows:
-            raise ParameterError("ncols required for empty matrix")
-        ncols = len(rows[0])
-    pivots = [next(i for i, x in enumerate(r) if x) for r in rows]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for r, pc in zip(rows, pivots):
-            vec[pc] = (-r[f]) % p
-        basis.append(tuple(vec))
-    return rref_mod_p(basis, p) if basis else ()
-
-
 # ---------------------------------------------------------------------------
 # Subgroups
 # ---------------------------------------------------------------------------
@@ -319,7 +307,7 @@ def subgroup_elements(K: Subgroup):
     return out
 
 
-@cache  # one head per (p, n), shared by every key of an orbit closure
+@cache  # one head per (p, n), shared by the keys of every subgroup there
 def _key_head(p: int, n: int) -> bytes:
     return f"{p},{n};".encode()
 
@@ -336,13 +324,8 @@ def subgroup_canonical_key(K: Subgroup) -> bytes:
     """Deterministic serialization of the RREF lift basis (`canonical_key`);
     equal keys iff equal subgroups (for fixed params).  One byte per entry,
     so p <= 255."""
-    try:
-        rows = [bytes(row) for row in K.basis]
-    except ValueError as exc:
-        raise UnsupportedParameterError(
-            f"canonical keys hold one byte per entry, so p <= 255, got {K.params.p}"
-        ) from exc
-    return canonical_key(K.params, rows)
+    K.params.require_byte_entries()
+    return canonical_key(K.params, [bytes(row) for row in K.basis])
 
 
 def subgroup_to_json(K: Subgroup):

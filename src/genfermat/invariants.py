@@ -39,7 +39,6 @@ from .groups import (
     Subgroup,
     generator,
     is_prime,
-    quotient_rank,
     rref_mod_p,
     subgroup_element_basis,
 )
@@ -423,25 +422,14 @@ def linear_relations(model, gens):
 
 def quotient_generator_reps(K: Subgroup):
     """Canonical generators whose images form a basis of H/K, chosen
-    greedily in index order."""
-    params = K.params
-    p = params.p
-    m = quotient_rank(K)
-    reps = []
-    span = list(K.basis)
-    rank = len(rref_mod_p(span, p))
-    for j in range(1, params.n + 2):
-        g = generator(j, params)
-        new_rank = len(rref_mod_p(span + [g.exponents], p))
-        if new_rank > rank:
-            reps.append(g)
-            span.append(g.exponents)
-            rank = new_rank
-        if len(reps) == m:
-            break
-    if len(reps) != m:
-        raise InconsistencyError("could not complete a quotient basis")
-    return reps
+    greedily in index order: phi_{j+1} is kept iff no vector of K's lift has
+    its last nonzero entry at coordinate j, that is, iff n-j is not a pivot
+    of the lift's echelon form with the coordinates reversed.  So one
+    elimination picks all m of them."""
+    n = K.params.n
+    reversed_basis = rref_mod_p([row[::-1] for row in K.basis], K.params.p)
+    lasts = {n - next(i for i, x in enumerate(row) if x) for row in reversed_basis}
+    return [generator(j + 1, K.params) for j in range(n + 1) if j not in lasts]
 
 
 def induced_action(K: Subgroup, gens):

@@ -102,13 +102,11 @@ def check_family_constructions():
 
 def check_rank_two_quotients_empty():
     for p in (2, 3):
-        for n in range(2, 9):
+        for n in range(3, 9):
             verdict = necessary_bounds(2, p, n, 2)
             if verdict.possibly_nonempty:
                 return False, f"bounds failed to rule out (p={p}, n={n}, m=2)"
-            # the unpruned walk confirms the verdict; at n = d = 2 it would
-            # find the trivial kernel, which the bounds prune unsoundly
-            if n > 2 and enumerate_all(EnumerationTask(d=2, p=p, n=n, m=2), prune=False):
+            if enumerate_all(EnumerationTask(d=2, p=p, n=n, m=2), prune=False):
                 return False, f"unexpected freely-acting subgroup at (p={p}, n={n}, m=2)"
     # every cell with at most 50,000 candidate subspaces: a free quotient has m >= d
     cells = 0
@@ -123,7 +121,8 @@ def check_rank_two_quotients_empty():
                     cells += 1
     if cells != 119:
         return False, f"m >= d sweep covered {cells} cells, want 119"
-    return True, f"no rank-2 quotients for p in {{2,3}}, n <= 8; m >= d on all {cells} sweep cells"
+    return True, (f"no rank-2 quotients for p in {{2,3}}, 3 <= n <= 8; "
+                  f"m >= d on all {cells} sweep cells")
 
 
 def check_small_n_no_free_elements():

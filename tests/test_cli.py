@@ -204,6 +204,15 @@ def test_enumerate_rejects_d_above_n(capsys):
     assert "error" in err
 
 
+def test_enumerate_rejects_n_equal_to_d(capsys):
+    # the paper's domain is d+1 <= n; at n = d the trivial kernel acts freely
+    for command in ("enumerate", "classify"):
+        code, out, err = run(capsys, command, "--d", "2", "--p", "3", "--n", "2", "--m", "2")
+        assert code == 2
+        assert out == ""
+        assert "d+1 <= n" in err
+
+
 def test_enumerate_rejects_negative_cap(capsys):
     code, out, err = run(
         capsys, "enumerate", "--d", "2", "--p", "2", "--n", "6", "--m", "3",

@@ -15,6 +15,7 @@ from genfermat import enumeration
 from genfermat.enumeration import (
     EnumerationTask,
     _columns_free,
+    _family_columns,
     _least_orbit_form,
     _orbit_closure,
     canonical_orbit_key,
@@ -87,10 +88,10 @@ def test_iter_rref_bases_complete(p, n, k):
 
 
 # Cells small enough to filter every RREF basis elementwise: d in {2,3,4},
-# p in {2,3,5}, at most 20,000 group elements over all candidates.
+# p in {2,3,5}, d+1 <= n, at most 20,000 group elements over all candidates.
 ORACLE_CELLS = [
     (d, p, n, m)
-    for d in (2, 3, 4) for p in (2, 3, 5) for n in range(d, 8) for m in range(n + 1)
+    for d in (2, 3, 4) for p in (2, 3, 5) for n in range(d + 1, 8) for m in range(n + 1)
     if gaussian_binomial(n, n - m, p) * p ** (n - m) <= 20_000
 ]
 
@@ -127,8 +128,6 @@ def test_enumerate_all_matches_elementwise_filter(cell):
         assert [subgroup_canonical_key(K) for K in enumerate_all(task)] == brute
 
 
-@pytest.mark.xfail(strict=True, reason="necessary_bounds prunes m=d=2, p<4 also at "
-                   "n=2, where the trivial kernel acts freely")
 def test_necessary_bounds_sound_on_oracle_cells():
     unsound = [
         cell for cell in ORACLE_CELLS
@@ -161,6 +160,8 @@ def test_task_validation():
         EnumerationTask(d=2, p=2, n=5, m=6)
     with pytest.raises(ParameterError):
         EnumerationTask(d=9, p=2, n=6, m=3)
+    with pytest.raises(ParameterError, match="d\\+1 <= n"):
+        EnumerationTask(d=2, p=3, n=2, m=2)
     with pytest.raises(ParameterError):
         EnumerationTask(d=2, p=2, n=6, m=3, cap_subspaces=-5)
     with pytest.raises(UnsupportedParameterError):
@@ -173,6 +174,8 @@ def test_necessary_bounds_prune():
     assert not necessary_bounds(2, 2, 7, 3).possibly_nonempty  # rank bound
     assert necessary_bounds(1, 2, 4, 2).possibly_nonempty  # no rank bound at d = 1
     assert necessary_bounds(2, 2, 6, 3).possibly_nonempty
+    with pytest.raises(ParameterError, match="d\\+1 <= n"):
+        necessary_bounds(2, 3, 2, 2)  # n = d: the trivial kernel would act freely
 
 
 def test_subspace_cap():
@@ -185,7 +188,7 @@ def test_subspace_cap():
 WIDE_CELLS = [(1, 131, 2, 1), (1, 251, 2, 1)]
 # Edge cells of the leaf lift: m = n (no kernel rows, the lift is all-ones)
 # and d = 1 (only the zero column is rejected).
-EDGE_CELLS = [(2, 2, 4, 4), (3, 3, 3, 3), (1, 131, 2, 2), (1, 2, 4, 2), (1, 3, 3, 1),
+EDGE_CELLS = [(2, 2, 4, 4), (1, 131, 2, 2), (1, 2, 4, 2), (1, 3, 3, 1),
               (1, 5, 3, 2), (1, 7, 2, 1)]
 
 
@@ -246,14 +249,14 @@ def test_enumerate_all_lifts_match_elimination():
 
 def test_trivial_kernel_cells():
     # k = 0: the one candidate is the trivial kernel, whose columns are the
-    # m unit vectors and -all-ones, free iff m >= d; no spans are built
+    # m = n unit vectors and -all-ones, free as m >= d+1; no spans are built
     start = time.perf_counter()
-    found = enumerate_all(EnumerationTask(7, 7, 7, 7))
+    found = enumerate_all(EnumerationTask(6, 7, 7, 7))
     assert time.perf_counter() - start < 0.1
     assert [K.basis for K in found] == [((1,) * 8,)]
     for p in (2, 3, 5):
-        for n in range(1, 6):
-            for d in range(1, n + 1):
+        for n in range(2, 6):
+            for d in range(1, n):
                 K = subgroup_from_generators([], GroupParams(p=p, n=n, d=d))
                 want = [K.basis] if subgroup_is_free_dual(K, d) else []
                 found = enumerate_all(EnumerationTask(d, p, n, n), prune=False)
@@ -512,6 +515,13 @@ def test_families_free(case):
     kind, kwargs = case
     K = construct_family(kind, **kwargs)
     assert acts_freely_subgroup(K, 2)
+    # the map [I_m | C] the lift is read off annihilates every lift row
+    n, extra = _family_columns(kind, kwargs.get("n"), kwargs.get("m"))
+    m = len(extra[0])
+    cols = [tuple(int(t == j) for t in range(m)) for j in range(m)] + extra
+    assert len(cols) == n + 1 == K.params.n + 1
+    for row in K.basis:
+        assert all(sum(x * c[t] for x, c in zip(row, cols)) % 2 == 0 for t in range(m))
     if kind == "n_minus_1":
         assert quotient_rank(K) == kwargs["n"] - 1
     elif kind == "n_minus_2":

@@ -1,6 +1,7 @@
 """Arrangements, general position, the degree-p model, and fibers."""
 
 import cmath
+import random
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,23 @@ def test_two_position_checkers_agree(seed, n):
     arr = random_omega_sample(seed, n, 2)
     assert in_general_position(arr)
     assert in_general_position_minors(arr)
+
+
+def test_two_position_checkers_agree_on_both_verdicts():
+    # entries in {-2..2}/{1,2} repeat often, so many arrangements are not in
+    # general position; the sampler's never are
+    rng = random.Random(3)
+    verdicts = []
+    for _ in range(200):
+        d = rng.choice((2, 3))
+        n = rng.randint(d + 1, d + 4)
+        lam = tuple(tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(d))
+                    for _ in range(n - d - 1))
+        arr = Arrangement(lam=lam, n=n, d=d)
+        verdict = in_general_position(arr)
+        assert verdict == in_general_position_minors(arr), arr
+        verdicts.append(verdict)
+    assert set(verdicts) == {True, False}
 
 
 def test_sampler_deterministic():

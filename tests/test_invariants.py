@@ -20,7 +20,15 @@ from genfermat.errors import (
 )
 from genfermat.geometry import fermat_model, random_omega_sample, VarietyModel
 from genfermat.golden import EXAMPLE_GENERATORS, EXAMPLE_RELATIONS
-from genfermat.groups import GroupParams, rank_mod_p, subgroup_from_generators, word
+from genfermat.groups import (
+    GroupParams,
+    generator,
+    quotient_rank,
+    rank_mod_p,
+    subgroup_from_generators,
+    subgroup_from_lift_rows,
+    word,
+)
 from genfermat import invariants
 from genfermat.invariants import (
     DiagonalAction,
@@ -395,6 +403,32 @@ def test_quotient_generator_reps():
         assert rank_mod_p(K.basis + (rep.exponents,), p) == len(K.basis) + 1
     # and together they span H modulo K
     assert rank_mod_p(K.basis + tuple(r.exponents for r in reps), p) == len(K.basis) + 3
+
+
+def greedy_quotient_generator_reps(K):
+    """Oracle: the canonical generators that raise the rank of K's lift
+    together with the generators kept before them, one elimination per
+    generator."""
+    p = K.params.p
+    reps, span = [], list(K.basis)
+    for j in range(1, K.params.n + 2):
+        g = generator(j, K.params)
+        if rank_mod_p(span + [g.exponents], p) > rank_mod_p(span, p):
+            reps.append(g)
+            span.append(g.exponents)
+    return reps
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_quotient_generator_reps_match_greedy_oracle(data):
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    n = data.draw(st.integers(1, 7))
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, p - 1)] * (n + 1)), max_size=n + 1))
+    K = subgroup_from_lift_rows(rows, GroupParams(p=p, n=n, d=1))
+    reps = quotient_generator_reps(K)
+    assert reps == greedy_quotient_generator_reps(K)
+    assert len(reps) == quotient_rank(K)
 
 
 def test_induced_action_signs():
