@@ -515,7 +515,7 @@ def test_families_free(case):
     kind, kwargs = case
     K = construct_family(kind, **kwargs)
     assert acts_freely_subgroup(K, 2)
-    # the map [I_m | C] the lift is read off annihilates every lift row
+    # the map [I_m | C] that the lift is read off annihilates every lift row
     n, extra = _family_columns(kind, kwargs.get("n"), kwargs.get("m"))
     m = len(extra[0])
     cols = [tuple(int(t == j) for t in range(m)) for j in range(m)] + extra
