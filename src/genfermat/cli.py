@@ -74,6 +74,7 @@ def _load_arrangement(args):
 
 def cmd_fixed_points(args):
     params = GroupParams(p=args.p, n=args.n, d=args.d)
+    params.require_domain()
     x = elem_normalize(_parse_int_list(args.element), params)
     return _emit({"task": {"p": args.p, "n": args.n, "d": args.d},
                   "results": strata_report(x, args.d)})
@@ -130,6 +131,7 @@ def cmd_fiber(args):
 
 def cmd_invariants(args):
     params = GroupParams(p=args.p, n=args.n, d=args.d)
+    params.require_domain()
     K = subgroup_from_lift_rows(_parse_rows(args.gens), params)
     model = None
     if args.lam:

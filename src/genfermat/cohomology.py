@@ -3,7 +3,7 @@ hyperbolicity classifier.
 
 All counts are exact big integers.  The canonical twist is
 r1 = (n-d)p - n - 1; its sign decides the Kodaira dimension, and for d=2
-the finitely many rational and K3 exceptions are classified by (p,n).
+the surface class: rational where r1 < 0 and K3 where r1 = 0 (`golden`).
 """
 
 from dataclasses import dataclass
@@ -11,9 +11,8 @@ from functools import lru_cache
 from math import comb
 
 from .errors import InconsistencyError, ParameterError, ResourceLimitError
+from .groups import GroupParams
 
-RATIONAL_SURFACES = {(2, 3), (3, 3), (2, 4)}
-K3_SURFACES = {(4, 3), (2, 5)}
 # Highest degree `h0_oracle` counts monomials for.
 ORACLE_DEGREE_CAP = 60
 
@@ -117,10 +116,7 @@ class CohomologyProfile:
 def genus_profile(d: int, p: int, n: int) -> CohomologyProfile:
     if d < 2:
         raise ParameterError(f"profile requires d >= 2, got {d}")
-    if p < 2:
-        raise ParameterError(f"profile requires p >= 2, got {p}")
-    if n < d + 1:
-        raise ParameterError(f"profile requires n >= d+1, got n={n}, d={d}")
+    GroupParams(p=p, n=n, d=d).require_domain()
     r1 = canonical_twist(d, p, n)
     pg = h0_twist(d, p, n, r1)
     if r1 < 0:
@@ -131,12 +127,7 @@ def genus_profile(d: int, p: int, n: int) -> CohomologyProfile:
         kodaira = d
     surface_class = ""
     if d == 2:
-        if (p, n) in RATIONAL_SURFACES:
-            surface_class = "Rational"
-        elif (p, n) in K3_SURFACES:
-            surface_class = "K3"
-        else:
-            surface_class = "GeneralType"
+        surface_class = {None: "Rational", 0: "K3", 2: "GeneralType"}[kodaira]
     return CohomologyProfile(
         d=d, p=p, n=n, r1=r1, pg=pg, kodaira=kodaira,
         is_calabi_yau=(r1 == 0), surface_class=surface_class,
@@ -184,11 +175,8 @@ class HyperbolicityVerdict:
 def hyperbolicity_verdict(d: int, p: int, n: int) -> HyperbolicityVerdict:
     if d < 2:
         raise ParameterError(f"verdict requires d >= 2, got {d}")
-    if p < 2:
-        raise ParameterError(f"verdict requires p >= 2, got {p}")
-    if n < d + 1:
-        raise ParameterError(f"verdict requires n >= d+1, got n={n}, d={d}")
-    if d == 2 and (p, n) in K3_SURFACES:
+    GroupParams(p=p, n=n, d=d).require_domain()
+    if d == 2 and canonical_twist(d, p, n) == 0:  # a K3 surface
         return HyperbolicityVerdict(
             status="NotAlgebraicallyHyperbolic",
             case="K3Exception",

@@ -33,23 +33,17 @@ to a column bijection, and the closure is its test oracle.
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, groupby, islice, product
+from itertools import combinations, islice, product
 from math import comb, factorial
 from operator import attrgetter, itemgetter
 
-from .errors import (
-    InconsistencyError,
-    ParameterError,
-    ResourceLimitError,
-    UnsupportedParameterError,
-)
+from .errors import InconsistencyError, ParameterError, ResourceLimitError
 from .fixed_points import free_rank_bound
 from .groups import (
     GroupParams,
     Packed,
     Subgroup,
     canonical_key,
-    is_prime,
     subgroup_canonical_key,
     subgroup_element_basis,
     subgroup_from_lift_rows,
@@ -69,12 +63,12 @@ class EnumerationTask:
     cap_subspaces: int = 2_000_000
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise UnsupportedParameterError(f"enumeration requires p prime, got {self.p}")
-        if not (1 <= self.d < self.n) or not (0 <= self.m <= self.n):
-            raise ParameterError("need 1 <= d, d+1 <= n and 0 <= m <= n; "
-                                 f"bad task parameters d={self.d}, n={self.n}, m={self.m}")
-        self.params.require_byte_entries()
+        params = self.params
+        params.require_prime()
+        params.require_domain()
+        params.require_byte_entries()
+        if not 0 <= self.m <= self.n:
+            raise ParameterError(f"need 0 <= m <= n, got m={self.m}, n={self.n}")
         if self.cap_subspaces < 0:
             raise ParameterError(f"cap_subspaces must be non-negative, got {self.cap_subspaces}")
 
@@ -104,10 +98,9 @@ def necessary_bounds(d: int, p: int, n: int, m: int) -> Verdict:
     """Sound pruning on the paper's domain d+1 <= n: Empty verdicts are
     proven; PossiblyNonempty promises nothing.  The rank bound needs d >= 2:
     1-freeness only asks for nonzero quotient columns, which may repeat."""
-    if not is_prime(p):
-        raise UnsupportedParameterError(f"requires p prime, got {p}")
-    if n < d + 1:
-        raise ParameterError(f"need d+1 <= n, got d={d}, n={n}")
+    params = GroupParams(p=p, n=n, d=d)
+    params.require_prime()
+    params.require_domain()
     if m < d:
         return Verdict(False, f"quotient rank m={m} below dimension d={d}")
     if m == d == 2 and p < 4:
@@ -406,44 +399,43 @@ def _orbit_closure(packed, start, plans):
 
 
 def classify_orbits(subgroups):
-    """Partition into orbits under the full permutation group of the
-    canonical generators, ordered by their least member's key.  Each (p,
-    n) has its own index of kernels by their packed kernel rows 1..k, which
-    fix row 0 (`_orbit_closure`); each distinct row is packed once, from its
-    bytes.  An orbit's members, the input objects, are popped from the
-    index.  Raises on duplicate input, or if an orbit leaves it."""
-    cells = {}
-    for params, group in groupby(subgroups, attrgetter("params")):
-        cells.setdefault((params.p, params.n), []).extend(group)
+    """Partition kernels of one cell (equal params) into orbits under the
+    full permutation group of the canonical generators, ordered by their
+    least member's key.  The kernels are indexed by their packed kernel rows
+    1..k, which fix row 0 (`_orbit_closure`), each distinct row packed once,
+    from its bytes; an orbit's members, the input objects, are popped from
+    the index.  Raises on mixed params, duplicates, or an orbit leaving it."""
+    cell = sorted(subgroups, key=attrgetter("basis"))  # the order of their keys
+    if not cell:
+        return []
+    params = cell[0].params
+    if [K.params for K in cell].count(params) < len(cell):  # count() tries `is` first
+        raise ParameterError("classification takes the kernels of one cell")
+    params.require_byte_entries()  # rows are packed from their bytes
+    packed = Packed.byte_fields(params.p, params.n + 1)
+    step = packed.w // 8  # an entry is the low byte of its field
+    buf = bytearray(step * (params.n + 1))
+
+    def pack(row):
+        buf[::step] = bytes(row)
+        return int.from_bytes(buf, "little")
+
+    rows = {row: pack(row) for row in {row for K in cell for row in K.basis[1:]}}
+    keys = [tuple([rows[row] for row in K.basis[1:]]) for K in cell]
+    index = dict(zip(keys, cell))
+    if len(index) != len(cell):
+        raise InconsistencyError("duplicate subgroups in classification input")
+    plans = {}  # insertion plans of this cell (`_orbit_closure`)
     orbits = []
-    # keys order by their "p,n;" head, then as the bases (linear when sorted)
-    for cell in sorted(cells.values(), key=lambda cell: canonical_key(cell[0].params, ())):
-        cell.sort(key=attrgetter("basis"))
-        p, n = cell[0].params.p, cell[0].params.n
-        cell[0].params.require_byte_entries()  # rows are packed from their bytes
-        packed = Packed.byte_fields(p, n + 1)
-        step = packed.w // 8  # an entry is the low byte of its field
-        buf = bytearray(step * (n + 1))
-
-        def pack(row):
-            buf[::step] = bytes(row)
-            return int.from_bytes(buf, "little")
-
-        rows = {row: pack(row) for row in {row for K in cell for row in K.basis[1:]}}
-        keys = [tuple([rows[row] for row in K.basis[1:]]) for K in cell]
-        index = dict(zip(keys, cell))
-        if len(index) != len(cell):
-            raise InconsistencyError("duplicate subgroups in classification input")
-        plans = {}  # insertion plans, valid at this p only (`_orbit_closure`)
-        for K, key in zip(cell, keys):
-            if key not in index:
-                continue  # taken by an earlier orbit
-            closure = _orbit_closure(packed, (pack(K.basis[0]),) + key, plans)
-            members = [index.pop(basis[1:], None) for basis in closure]
-            if None in members:
-                raise InconsistencyError("orbit leaves the input set; input was not "
-                                         "closed under generator permutations")
-            orbits.append(OrbitClass(K, len(members), tuple(members)))
+    for K, key in zip(cell, keys):
+        if key not in index:
+            continue  # taken by an earlier orbit
+        closure = _orbit_closure(packed, (pack(K.basis[0]),) + key, plans)
+        members = [index.pop(basis[1:], None) for basis in closure]
+        if None in members:
+            raise InconsistencyError("orbit leaves the input set; input was not "
+                                     "closed under generator permutations")
+        orbits.append(OrbitClass(K, len(members), tuple(members)))
     return orbits
 
 

@@ -7,6 +7,13 @@ the worked example, and the surface classification exceptions.
 
 from .groups import GroupParams, subgroup_from_generators, word
 
+# --- surface classification at d=2 ----------------------------------------
+
+# The paper's (p, n) of rational and of K3 surfaces; every other type
+# (2;p,n) is of general type.
+RATIONAL_SURFACES = {(2, 3), (3, 3), (2, 4)}
+K3_SURFACES = {(4, 3), (2, 5)}
+
 # --- rank-3 quotient classification at d=p=2 -------------------------------
 
 RANK3_PARAMS = GroupParams(p=2, n=6, d=2)

@@ -39,7 +39,8 @@ def is_prime(p: int) -> bool:
 @dataclass(frozen=True)
 class GroupParams:
     """Ambient parameters: exponent p, rank parameter n (H ~ Z_p^n), and the
-    variety dimension d carried along for the fixed-point predicates."""
+    variety dimension d, which only `require_domain` reads; the fixed-point
+    predicates take d as an argument and keep the check 1 <= d <= n."""
 
     p: int
     n: int
@@ -53,11 +54,14 @@ class GroupParams:
         if not (1 <= self.d <= self.n):
             raise ParameterError(f"need 1 <= d <= n, got d={self.d}, n={self.n}")
 
+    def require_domain(self):
+        """The paper's domain d+1 <= n; at n = d the trivial kernel is free."""
+        if self.n < self.d + 1:
+            raise ParameterError(f"need d+1 <= n, got d={self.d}, n={self.n}")
+
     def require_prime(self):
         if not is_prime(self.p):
-            raise UnsupportedParameterError(
-                f"operation requires p prime, got p={self.p}"
-            )
+            raise UnsupportedParameterError(f"requires p prime, got {self.p}")
 
     def require_byte_entries(self):
         """Keys and byte-packed rows hold one byte per entry."""

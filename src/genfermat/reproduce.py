@@ -10,8 +10,6 @@ from itertools import product
 
 from . import golden
 from .cohomology import (
-    K3_SURFACES,
-    RATIONAL_SURFACES,
     canonical_twist,
     genus_profile,
     h0_oracle,
@@ -108,7 +106,8 @@ def check_rank_two_quotients_empty():
                 return False, f"bounds failed to rule out (p={p}, n={n}, m=2)"
             if enumerate_all(EnumerationTask(d=2, p=p, n=n, m=2), prune=False):
                 return False, f"unexpected freely-acting subgroup at (p={p}, n={n}, m=2)"
-    # every cell with at most 50,000 candidate subspaces: a free quotient has m >= d
+    # every cell with at most 50,000 candidate subspaces: a free quotient has
+    # m >= d; the bounds prune every m < d cell, so those also run unpruned
     cells = 0
     for d in (2, 3):
         for p in (2, 3, 5):
@@ -116,7 +115,9 @@ def check_rank_two_quotients_empty():
                 for m in range(1, n + 1):
                     if gaussian_binomial(n, n - m, p) > 50_000:
                         continue
-                    if enumerate_all(EnumerationTask(d=d, p=p, n=n, m=m)) and m < d:
+                    task = EnumerationTask(d=d, p=p, n=n, m=m)
+                    found = enumerate_all(task)
+                    if m < d and (found or enumerate_all(task, prune=False)):
                         return False, f"free quotient of rank m < d at (d={d}, p={p}, n={n}, m={m})"
                     cells += 1
     if cells != 119:
@@ -206,9 +207,9 @@ def check_surface_classification():
     for p in range(2, 8):
         for n in range(3, 8):
             prof = genus_profile(2, p, n)
-            if (p, n) in RATIONAL_SURFACES:
+            if (p, n) in golden.RATIONAL_SURFACES:
                 want = "Rational"
-            elif (p, n) in K3_SURFACES:
+            elif (p, n) in golden.K3_SURFACES:
                 want = "K3"
             else:
                 want = "GeneralType"
@@ -257,7 +258,7 @@ def check_genus_table():
         for p in range(2, 8):
             for n in range(d + 1, 2 * d + 3):
                 v = hyperbolicity_verdict(d, p, n)
-                if d == 2 and (p, n) in K3_SURFACES:
+                if d == 2 and (p, n) in golden.K3_SURFACES:
                     want = "K3Exception"
                 elif n <= 2 * d - 1:
                     want = 1

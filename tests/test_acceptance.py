@@ -4,7 +4,7 @@ the time budgets of `reproduce.BUDGETS` and `reproduce.RUN_BUDGET`."""
 
 import pytest
 
-from genfermat import reproduce
+from genfermat import enumeration, reproduce
 
 NAMES = tuple(name for name, _ in reproduce.CHECKS)
 
@@ -37,3 +37,19 @@ def test_check(name, results, capsys):
 
 def test_whole_run_budget(results):
     assert seconds(results, NAMES) < reproduce.RUN_BUDGET
+
+
+def test_rank_sweep_walks_cells_below_d(monkeypatch):
+    # The bounds prune every m < d cell before the walk, so a kernel that
+    # the walk finds at (d=2, p=2, n=3, m=1) is seen by the unpruned pass only.
+    walk = enumeration._leaves
+
+    def leaky(packed, k, d, share):
+        yield from walk(packed, k, d, share)
+        if (packed.p, packed.m, k, d) == (2, 1, 2, 2):
+            yield ((1, 1, 1, 1), (0, 1, 0, 1), (0, 0, 1, 1))
+
+    monkeypatch.setattr(enumeration, "_leaves", leaky)
+    ok, detail = reproduce.check_rank_two_quotients_empty()
+    assert not ok
+    assert detail == "free quotient of rank m < d at (d=2, p=2, n=3, m=1)"

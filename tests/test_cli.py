@@ -148,6 +148,15 @@ def test_parameter_error_exit_code(capsys):
     # K fixes a chart variable: no affine-linear relation exists
     ("invariants", "--d", "2", "--p", "2", "--n", "3", "--gens", "0,0,0,0"),
     ("invariants", "--d", "2", "--p", "2", "--n", "3", "--gens", "1,0,0,0"),
+    # n = d lies outside the paper's domain d+1 <= n
+    ("fixed-points", "--d", "2", "--p", "3", "--n", "2", "--element", "1,2,0"),
+    ("invariants", "--d", "2", "--p", "3", "--n", "2", "--gens", "1,2,0"),
+    ("enumerate", "--d", "2", "--p", "3", "--n", "2", "--m", "2"),
+    ("classify", "--d", "2", "--p", "3", "--n", "2", "--m", "2"),
+    ("cohomology", "--d", "2", "--p", "3", "--n", "2"),
+    ("hyperbolicity", "--d", "2", "--p", "3", "--n", "2"),
+    ("arrangement", "--d", "2", "--n", "2", "--seed", "9"),
+    ("fiber", "--d", "2", "--p", "3", "--n", "2", "--seed", "11", "--point", "1,0.31,-0.57"),
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

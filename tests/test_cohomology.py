@@ -7,8 +7,6 @@ from math import comb
 
 from genfermat.cohomology import (
     CohomologyProfile,
-    K3_SURFACES,
-    RATIONAL_SURFACES,
     canonical_twist,
     genus_profile,
     h0_oracle,
@@ -19,6 +17,7 @@ from genfermat.cohomology import (
     rh_genus,
 )
 from genfermat.errors import InconsistencyError, ParameterError, ResourceLimitError
+from genfermat.golden import K3_SURFACES, RATIONAL_SURFACES
 
 
 def test_canonical_twist_values():

@@ -347,24 +347,18 @@ def test_classification_needs_byte_entries():
         classify_orbits([K])
 
 
-def _orbit_summary(orbits):
-    return [(subgroup_canonical_key(o.representative), o.orbit_size, o.members)
-            for o in orbits]
-
-
-def test_classification_keeps_cells_apart():
+def test_classification_takes_one_cell():
     # Row tuples of 0s and 1s pack alike at every p: the trivial kernels of
-    # (2,2,6,6) and (2,3,6,6) have the same basis, and must not meet.  The
-    # closure's insertion plans differ by p for one packed row, so cells of
-    # one n and field width must not share them either: (2,3,6,4) and
-    # (2,2,6,3) keep plans, and at k = 1 (2,5,6,5) and (2,7,6,5) keep none.
-    cells = [(2, 3, 6, 4), (2, 2, 6, 3), (2, 3, 6, 6), (2, 2, 6, 6), (2, 5, 6, 5), (2, 7, 6, 5)]
-    found = [enumerate_all(EnumerationTask(*cell)) for cell in cells]
-    assert found[2][0].basis == found[3][0].basis
-    apart = sorted((o for kernels in found for o in classify_orbits(kernels)),
-                   key=lambda o: subgroup_canonical_key(o.representative))
-    together = classify_orbits([K for kernels in found for K in reversed(kernels)])
-    assert _orbit_summary(together) == _orbit_summary(apart)
+    # (2,2,6,6) and (2,3,6,6) have the same basis, so kernels of two cells
+    # are refused, not classified together.
+    two = enumerate_all(EnumerationTask(2, 2, 6, 6)) + enumerate_all(EnumerationTask(2, 3, 6, 6))
+    assert two[0].basis == two[1].basis
+    with pytest.raises(ParameterError, match="one cell"):
+        classify_orbits(two)
+    with pytest.raises(ParameterError, match="one cell"):
+        classify_orbits(enumerate_all(EnumerationTask(2, 3, 6, 5))
+                        + enumerate_all(EnumerationTask(3, 3, 6, 5)))
+    assert classify_orbits([]) == []
 
 
 def test_classification_at_two_byte_fields():

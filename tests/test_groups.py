@@ -54,8 +54,13 @@ def test_params_validation():
     with pytest.raises(ParameterError):
         GroupParams(p=2, n=0, d=1)
     GroupParams(p=4, n=3, d=2)  # non-prime p is fine for element arithmetic
-    with pytest.raises(UnsupportedParameterError):
+    with pytest.raises(UnsupportedParameterError, match="requires p prime, got 4"):
         GroupParams(p=4, n=3, d=2).require_prime()
+    GroupParams(p=4, n=3, d=2).require_domain()  # the domain asks nothing of p
+    GroupParams(p=2, n=2, d=2)  # n = d is a group, outside the paper's domain
+    for d, n in ((2, 2), (1, 1), (5, 5)):
+        with pytest.raises(ParameterError, match="d\\+1 <= n"):
+            GroupParams(p=3, n=n, d=d).require_domain()
 
 
 def test_normalize_collapses_all_ones(p3n4):

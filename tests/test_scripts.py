@@ -70,7 +70,7 @@ def test_sweep_free_subgroups_rejects_bad_parameters():
     assert_usage_error(script, "--p", "4", message="requires p prime, got 4")
     assert_usage_error(script, "--p", "2", "4", message="requires p prime, got 4")
     assert_usage_error(script, "--p", "257", message="so p <= 255, got 257")
-    assert_usage_error(script, "--d", "0", message="bad task parameters d=0, n=1, m=1")
+    assert_usage_error(script, "--d", "0", message="need 1 <= d <= n, got d=0, n=1")
     # n starts at d + 1 = 3
     assert_usage_error(script, "--max-n", "2", message="empty grid: need --max-n > --d = 2")
 
