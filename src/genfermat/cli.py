@@ -65,8 +65,14 @@ def _read_json(path):
 
 
 def _load_arrangement(args):
+    """The --lambda file's arrangement, which must have the --d and --n of
+    the command line, else the --seed sample."""
     if args.lam:
-        return arrangement_from_json(_read_json(args.lam))
+        arr = arrangement_from_json(_read_json(args.lam))
+        if (arr.d, arr.n) != (args.d, args.n):
+            raise ParameterError(f"--lambda file has d={arr.d}, n={arr.n}, "
+                                 f"but the command line has d={args.d}, n={args.n}")
+        return arr
     if args.seed is None:
         raise ParameterError("either --lambda or --seed is required")
     return random_omega_sample(args.seed, args.n, args.d)
@@ -135,7 +141,7 @@ def cmd_invariants(args):
     K = subgroup_from_lift_rows(_parse_rows(args.gens), params)
     model = None
     if args.lam:
-        model = VarietyModel(p=args.p, arrangement=arrangement_from_json(_read_json(args.lam)))
+        model = VarietyModel(p=args.p, arrangement=_load_arrangement(args))
     elif args.n == args.d + 1:
         model = fermat_model(p=args.p, d=args.d)
     results = quotient_model_report(K, model=model)

@@ -1,10 +1,11 @@
-"""Hyperplane data, defining equations, and numeric fiber verification.
+"""Hyperplane data, the degree-p model, and numeric fiber verification.
 
 The branch data is a rational (n-d-1) x d matrix whose rows extend the
-d+2 standard hyperplanes of P^d to a configuration of n+1 hyperplanes.
-General position is decided by exact rational rank computations; the
-degree-p model, the quotient projection, and its fibers are handled in
-floating point.
+d+2 standard hyperplanes of P^d to a configuration of n+1 hyperplanes
+H_0..H_n.  The degree-p model is the variety x_t^p = -H_t(x_0^p, ..., x_d^p)
+for t = d+1..n, read off the hyperplanes themselves.  General position is
+decided by exact rational rank computations; the model, the quotient
+projection, and its fibers are handled in floating point.
 """
 
 import cmath
@@ -70,7 +71,7 @@ class Arrangement:
             raise ParameterError(f"d must be >= 1, got {self.d}")
         if self.n < self.d + 1:
             raise ParameterError(f"need n >= d+1, got n={self.n}, d={self.d}")
-        expected = max(self.n - self.d - 1, 0)
+        expected = self.n - self.d - 1
         if len(self.lam) != expected:
             raise DimensionError(
                 f"expected {expected} matrix rows for n={self.n}, d={self.d}, "
@@ -82,15 +83,17 @@ class Arrangement:
                 raise DimensionError(f"matrix row length {len(row)} != d={self.d}")
         object.__setattr__(self, "lam", lam)
 
-    @property
+    @cached_property
     def hyperplanes(self):
-        """Coefficient vectors in Q^{d+1} of the n+1 hyperplanes, in order."""
+        """Coefficient vectors in Q^{d+1} of the n+1 hyperplanes, in order.
+        Every H_t with t > d is 1 at coordinate d.  Built once per
+        arrangement, as `residual` reads them at every point."""
         d = self.d
         out = [tuple(Fraction(int(i == j)) for j in range(d + 1)) for i in range(d + 1)]
         out.append(tuple(Fraction(1) for _ in range(d + 1)))
         for row in self.lam:
             out.append(row + (Fraction(1),))
-        return out
+        return tuple(out)
 
 
 def in_general_position(arr: Arrangement) -> bool:
@@ -134,7 +137,7 @@ def random_omega_sample(seed: int, n: int, d: int) -> Arrangement:
     """Rejection-sample a rational matrix until the arrangement is in
     general position.  Deterministic for a given seed."""
     rng = random.Random(seed)
-    rows = max(n - d - 1, 0)
+    rows = n - d - 1
     for _ in range(OMEGA_TRIALS):
         lam = tuple(
             tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 7)) for _ in range(d))
@@ -179,8 +182,9 @@ def arrangement_from_json(data) -> Arrangement:
 
 @dataclass(frozen=True)
 class VarietyModel:
-    """Complete intersection cut out by n-d rows of rational coefficients in
-    the p-th powers of the n+1 projective coordinates."""
+    """The complete intersection x_t^p = -H_t(x_0^p, ..., x_d^p), t = d+1..n,
+    in P^n over an arrangement in general position (the paper's hypothesis;
+    any other raises ParameterError)."""
 
     p: int
     arrangement: Arrangement
@@ -188,6 +192,8 @@ class VarietyModel:
     def __post_init__(self):
         if self.p < 2:
             raise ParameterError(f"p must be >= 2, got {self.p}")
+        if not in_general_position(self.arrangement):
+            raise ParameterError("the arrangement is not in general position")
 
     @property
     def n(self):
@@ -196,26 +202,6 @@ class VarietyModel:
     @property
     def d(self):
         return self.arrangement.d
-
-    @cached_property
-    def equations(self):
-        """Rows of length n+1 over x_1^p .. x_{n+1}^p: the all-ones row on
-        the first d+2 coordinates, then one row per matrix row.  Built once
-        per model, as `residual` reads them at every point."""
-        n, d = self.n, self.d
-        rows = []
-        first = [Fraction(0)] * (n + 1)
-        for i in range(d + 2):
-            first[i] = Fraction(1)
-        rows.append(tuple(first))
-        for j, lam_row in enumerate(self.arrangement.lam):
-            row = [Fraction(0)] * (n + 1)
-            for i in range(d):
-                row[i] = lam_row[i]
-            row[d] = Fraction(1)
-            row[d + 1 + j + 1] = Fraction(1)  # coordinate x_{d+2+j}, 0-based d+1+j+1
-            rows.append(tuple(row))
-        return tuple(rows)
 
 
 def fermat_model(p: int, d: int) -> VarietyModel:
@@ -237,6 +223,8 @@ class ProjectivePoint:
 
 def normalize_coords(coords):
     coords = tuple(complex(c) for c in coords)
+    if not all(map(cmath.isfinite, coords)):
+        raise ParameterError("projective point coordinates must be finite")
     mags = [abs(c) for c in coords]
     top = max(mags)
     if top == 0.0:
@@ -260,15 +248,14 @@ def projectively_close(a: ProjectivePoint, b: ProjectivePoint) -> bool:
 
 
 def residual(model: VarietyModel, x: ProjectivePoint) -> float:
-    """Max equation residual at the normalized representative."""
+    """Max over t > d of |x_t^p + H_t(x_0^p, ..., x_d^p)| at the normalized
+    representative."""
     if len(x.coords) != model.n + 1:
         raise DimensionError(f"point has {len(x.coords)} coords, expected {model.n + 1}")
     powers = [c ** model.p for c in x.coords]
-    worst = 0.0
-    for row in model.equations:
-        val = sum(float(a) * z for a, z in zip(row, powers))
-        worst = max(worst, abs(val))
-    return worst
+    d = model.d
+    return max(abs(sum(float(a) * z for a, z in zip(plane, powers)) + powers[t])
+               for t, plane in enumerate(model.arrangement.hyperplanes[d + 1:], start=d + 1))
 
 
 def is_on_variety(model: VarietyModel, x: ProjectivePoint) -> bool:
@@ -319,15 +306,9 @@ def fiber_over(y: ProjectivePoint, model: VarietyModel, cap: int = FIBER_CAP):
         raise ParameterError("base point lies on (or too close to) the branch locus")
     if p ** n > cap:
         raise ResourceLimitError(f"fiber size {p ** n} exceeds cap {cap}", attempted=p ** n)
-    z = list(y.coords) + [0j] * (n - d)
-    # triangular solve for the p-th powers of the remaining coordinates
-    for row_idx, row in enumerate(model.equations):
-        target = d + 1 + row_idx  # 0-based index of the new coordinate
-        acc = 0j
-        for i, a in enumerate(row):
-            if i != target and a:
-                acc += float(a) * z[i]
-        z[target] = -acc
+    # y holds x_0^p..x_d^p; x_t^p = -H_t(y) for the remaining coordinates
+    z = list(y.coords) + [-sum((float(a) * c for a, c in zip(plane, y.coords) if a), 0j)
+                          for plane in model.arrangement.hyperplanes[d + 1:]]
     w = cmath.exp(2j * cmath.pi / p)
     roots = [c ** (1.0 / p) if c != 0 else 0j for c in z]
     # principal root for coordinate 1 is pinned; the other n coordinates

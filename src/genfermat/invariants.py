@@ -14,8 +14,8 @@ of its index tuple.  Every two members of one sum class form a relation,
 so `find_binomial_relations` returns a `BinomialRelations` sequence that
 stores the classes as arrays of codes and decodes the (a, b) pairs,
 class-major, only when they are read.  The affine-linear relations coming
-from the defining equations on the chart x_{n+1}=1, and the induced action
-of the quotient group, are computed here too.
+from the model x_t^p = -H_t(x_0^p, ..., x_d^p) on the chart x_{n+1}=1, and
+the induced action of the quotient group, are computed here too.
 """
 
 from array import array
@@ -29,7 +29,6 @@ from operator import index
 
 from .errors import (
     DimensionError,
-    InconsistencyError,
     ParameterError,
     ResourceLimitError,
     UnsupportedParameterError,
@@ -356,7 +355,7 @@ def verify_relations(gens, relations):
 
 
 # ---------------------------------------------------------------------------
-# Linear relations from the defining equations
+# Linear relations from the degree-p model
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -370,13 +369,12 @@ class LinearRelation:
 
 
 def linear_relations(model, gens):
-    """Rewrite each defining equation, restricted to the chart x_{n+1}=1,
-    as an affine-linear relation among the pure-power generators x_i^p.
-    Each equation is solved for its distinguished new coordinate; the last
-    equation (whose new coordinate is the chart variable) is solved for
-    x_{d+1}^p instead.  If K fixes a chart variable x_i, then x_i itself is
-    a generator and x_i^p is not, so no such relation exists: that raises
-    ParameterError."""
+    """Rewrite each x_t^p = -H_t(x_0^p, ..., x_d^p) of the model, on the
+    chart x_n = 1 (coordinates 0-based), as an affine-linear relation among
+    the pure-power generators x_i^p.  Each t < n gives x_t^p; the last one,
+    t = n, gives x_d^p, as H_n is 1 at coordinate d.  If K fixes a
+    chart variable x_i, then x_i itself is a generator and x_i^p is not, so
+    no such relation exists: that raises ParameterError."""
     n, d, p = model.n, model.d, model.p
     pure_power_index = {}
     for i in range(n):  # variable i (0-based), pure power p*e_i
@@ -388,29 +386,17 @@ def linear_relations(model, gens):
         else:
             raise ParameterError(
                 f"x{i + 1}^{p} is not a generator (K fixes x{i + 1}), so the "
-                "equations give no affine-linear relation among the generators"
+                "model gives no affine-linear relation among the generators"
             )
     relations = []
-    for row_idx, row in enumerate(model.equations):
-        new_coord = d + 1 + row_idx  # 0-based coordinate introduced by this row
-        solve_for = new_coord if new_coord < n else d
-        c_t = row[solve_for]
-        if not c_t:
-            raise InconsistencyError("equation lacks its distinguished coordinate")
-        coeffs = []
-        constant = Fraction(0)
-        for i, a in enumerate(row):
-            if i == solve_for or not a:
-                continue
-            if i == n:  # chart variable, x_{n+1}^p = 1
-                constant += -a / c_t
-            else:
-                coeffs.append((pure_power_index[i], -a / c_t))
+    for t, plane in enumerate(model.arrangement.hyperplanes[d + 1:], start=d + 1):
+        solve_for = t if t < n else d
         relations.append(
             LinearRelation(
                 target=pure_power_index[solve_for],
-                coeffs=tuple(coeffs),
-                constant=constant,
+                coeffs=tuple((pure_power_index[i], -a)
+                             for i, a in enumerate(plane) if a and i != solve_for),
+                constant=Fraction(-1 if t == n else 0),
             )
         )
     return relations

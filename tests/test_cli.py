@@ -157,6 +157,9 @@ def test_parameter_error_exit_code(capsys):
     ("hyperbolicity", "--d", "2", "--p", "3", "--n", "2"),
     ("arrangement", "--d", "2", "--n", "2", "--seed", "9"),
     ("fiber", "--d", "2", "--p", "3", "--n", "2", "--seed", "11", "--point", "1,0.31,-0.57"),
+    # non-finite coordinates
+    ("fiber", "--d", "2", "--p", "2", "--n", "4", "--seed", "11", "--point", "nan,1,1"),
+    ("fiber", "--d", "2", "--p", "2", "--n", "4", "--seed", "11", "--point", "1,inf,1"),
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -183,6 +186,39 @@ def test_unreadable_lambda_file_exits_2(capsys, tmp_path):
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+def test_lambda_file_outside_the_domain_exits_2(capsys, tmp_path):
+    # a d=2, n=5 file given with other flags, and a file whose hyperplane 4
+    # repeats hyperplane 2, so it is not in general position
+    lam, degenerate = tmp_path / "lam.json", tmp_path / "degenerate.json"
+    lam.write_text(json.dumps(arrangement_to_json(random_omega_sample(3, 5, 2))))
+    degenerate.write_text('{"d": 2, "n": 4, "lambda": [["0", "0"]]}')
+    for argv in (
+        ("arrangement", "--d", "2", "--n", "2", "--lambda", str(lam)),
+        ("fiber", "--d", "2", "--p", "2", "--n", "4", "--lambda", str(lam),
+         "--point", "1,0.31,-0.57"),
+        ("invariants", "--d", "3", "--p", "2", "--n", "5", "--lambda", str(lam),
+         "--gens", "1,1,1,1,1,0"),
+        ("fiber", "--d", "2", "--p", "2", "--n", "4", "--lambda", str(degenerate),
+         "--point", "1,0.31,-0.57"),
+        ("invariants", "--d", "2", "--p", "2", "--n", "4", "--lambda", str(degenerate),
+         "--gens", "1,1,1,1,0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:"), argv
+    code, out, _ = run(capsys, "arrangement", "--d", "2", "--n", "4", "--lambda", str(degenerate))
+    assert code == 0
+    assert json.loads(out)["results"]["generalPosition"] is False
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _strict_loads(text):
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def test_cap_flag_rejected_where_unread():
@@ -293,7 +329,8 @@ FIELDS = st.lists(
     max_size=9,
 ).map(",".join)
 ROWS = st.one_of(FIELDS, st.lists(FIELDS, max_size=4).map(";".join))
-COORDS = st.sampled_from(("1", "0", "0.31", "-0.57", "2j", "1+1j", "-1e300", "abc", ""))
+COORDS = st.sampled_from(("1", "0", "0.31", "-0.57", "2j", "1+1j", "-1e300", "abc", "", "nan",
+                          "inf"))
 # invariants has no cap flag; its Hilbert basis and relation walks are
 # capped at this many steps during the fuzz, so one draw takes at most
 # about 0.1 s where the default caps allow seconds
@@ -367,6 +404,8 @@ def computing_argv(draw):
 # argparse stores [] for an option whose value is "--"
 @example(["fixed-points", "--d=2", "--n=3", "--p=3", "--element=--"])
 @example(["arrangement", "--d=2", "--n=5", "--lambda=--"])
+# json.dumps writes a NaN coordinate as NaN, which is not JSON
+@example(["fiber", "--d=2", "--n=4", "--p=2", "--seed=11", "--point=nan,1,1"])
 def test_cli_input_contract(argv):
     out, err = StringIO(), StringIO()
     with (redirect_stdout(out), redirect_stderr(err),
@@ -382,7 +421,7 @@ def test_cli_input_contract(argv):
         assert lines == []
     elif argv[0] == "fiber":
         for line in lines:
-            json.loads(line)
+            _strict_loads(line)
     else:
         assert len(lines) == 1
-        assert lines[0] == json.dumps(json.loads(lines[0]), sort_keys=True)
+        assert lines[0] == json.dumps(_strict_loads(lines[0]), sort_keys=True)

@@ -51,16 +51,19 @@ def test_fermat_degeneration():
     assert in_general_position(arr)
     model = fermat_model(p=3, d=2)
     assert model.n == 3 and model.d == 2
-    assert len(model.equations) == 1
-    assert model.equations[0] == (1, 1, 1, 1)
+    # the one equation x_3^p = -(x_0^p + x_1^p + x_2^p) is the sum hyperplane
+    assert model.arrangement.hyperplanes == ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
 
 
 def test_general_position_detects_degeneracy():
     # tilted plane parallel to the sum hyperplane: coincident directions
     arr = Arrangement(lam=((Fraction(1), Fraction(1)),), n=4, d=2)
     assert not in_general_position(arr)
+    with pytest.raises(ParameterError, match="general position"):
+        VarietyModel(p=2, arrangement=arr)
     good = Arrangement(lam=((Fraction(2), Fraction(3)),), n=4, d=2)
     assert in_general_position(good)
+    assert VarietyModel(p=2, arrangement=good).arrangement == good
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(4, 6))
@@ -105,6 +108,9 @@ def test_projective_normalization():
     assert max(abs(c) for c in x.coords) == pytest.approx(1.0)
     with pytest.raises(ParameterError):
         ProjectivePoint((0, 0))
+    for bad in (float("nan"), float("inf"), complex(0, float("-inf"))):
+        with pytest.raises(ParameterError, match="finite"):
+            ProjectivePoint((1, bad))
     y = ProjectivePoint((1, 2))
     assert projectively_close(x, y)
     assert not projectively_close(x, ProjectivePoint((1, 3)))
