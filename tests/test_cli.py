@@ -213,14 +213,6 @@ def test_lambda_file_outside_the_domain_exits_2(capsys, tmp_path):
     assert json.loads(out)["results"]["generalPosition"] is False
 
 
-def _reject_constant(name):
-    raise ValueError(f"{name} is not JSON")
-
-
-def _strict_loads(text):
-    return json.loads(text, parse_constant=_reject_constant)
-
-
 def test_cap_flag_rejected_where_unread():
     with pytest.raises(SystemExit) as exc:
         main(["cohomology", "--d", "2", "--p", "3", "--n", "5", "--cap-subspaces", "5"])
@@ -397,6 +389,14 @@ def computing_argv(draw):
     if cmd == "invariants":
         argv.append(f"--gens={gens}")
     return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _strict_loads(text):
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 @settings(max_examples=300, deadline=None)
