@@ -37,7 +37,6 @@ from .geometry import (  # noqa: F401
     Arrangement,
     VarietyModel,
     ProjectivePoint,
-    in_general_position,
     random_omega_sample,
     fermat_model,
     fiber_over,

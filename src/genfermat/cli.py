@@ -23,7 +23,6 @@ from .geometry import (
     arrangement_to_json,
     fermat_model,
     fiber_over,
-    in_general_position,
     point_to_json,
     random_omega_sample,
     VarietyModel,
@@ -114,7 +113,7 @@ def cmd_hyperbolicity(args):
 
 def cmd_arrangement(args):
     arr = _load_arrangement(args)
-    results = {"generalPosition": in_general_position(arr) if args.lam else True,
+    results = {"generalPosition": arr.general_position,
                "arrangement": arrangement_to_json(arr)}
     return _emit({"results": results})
 

@@ -45,7 +45,6 @@ from .groups import (
     Subgroup,
     canonical_key,
     subgroup_canonical_key,
-    subgroup_element_basis,
     subgroup_from_lift_rows,
     subgroup_to_json,
 )
@@ -244,22 +243,16 @@ def iter_rref_bases(n: int, k: int, p: int):
             yield tuple(map(tuple, rows))
 
 
-def _quotient_columns(basis_rows, n: int, p: int):
-    """Columns c_1..c_{n+1} in F_p^m of a quotient map whose kernel has the
-    RREF basis basis_rows, the lift with its last coordinate set to zero:
-    the non-pivot columns are unit vectors, the column at pivot P_i is minus
-    row i on the non-pivot coordinates, and c_{n+1} is minus their sum.  The
-    walk (`_leaves`) sets coordinate 0 to zero instead; this independent
-    normalization is the oracle the tests check its leaves against."""
-    pivots = [next(j for j, x in enumerate(row) if x) for row in basis_rows]
-    free = [q for q in range(n) if q not in pivots]
-    m = len(free)
-    cols = [None] * n
-    for t, q in enumerate(free):
-        cols[q] = tuple(int(s == t) for s in range(m))
-    for row, P in zip(basis_rows, pivots):
-        cols[P] = tuple(-row[q] % p for q in free)
-    cols.append(tuple(-sum(c[t] for c in cols) % p for t in range(m)))
+def _quotient_columns(K: Subgroup):
+    """The n+1 columns in F_p^m of the quotient map of F_p^{n+1} by K's lift,
+    read off its RREF basis, non-pivot columns first: with pivots P and
+    non-pivot positions Q = (Q_1..Q_m), the column at Q_t is the unit vector
+    e_t and the column at pivot P_i is minus row i on Q."""
+    p, n1 = K.params.p, K.params.n + 1
+    pivots = [next(j for j, x in enumerate(row) if x) for row in K.basis]
+    free = [q for q in range(n1) if q not in pivots]
+    cols = [tuple(int(s == t) for s in range(len(free))) for t in range(len(free))]
+    cols += [tuple(-row[q] % p for q in free) for row in K.basis]
     return cols
 
 
@@ -279,12 +272,12 @@ def _columns_free(cols, d: int, p: int) -> bool:
 def subgroup_is_free_dual(K: Subgroup, d: int) -> bool:
     """Oracle: whether K acts freely, by the dual route on K alone.
 
-    Checks the quotient columns of K (no element enumeration) with the
-    normalization of `_quotient_columns`, not the walk's; the tests check
-    every kernel the walk keeps, and elimination's candidates, with it."""
-    basis = tuple(row[:-1] for row in subgroup_element_basis(K))
-    cols = _quotient_columns(basis, K.params.n, K.params.p)
-    return _columns_free(cols, d, K.params.p)
+    Reads the quotient columns off K's own lift basis, with no element
+    enumeration and no elimination.  It shares no code with the walk but
+    the span growth `Packed.grow`, and its tests run `acts_freely_subgroup`
+    beside it; they check every kernel the walk keeps, and elimination's
+    candidates, with it."""
+    return _columns_free(_quotient_columns(K), d, K.params.p)
 
 
 def enumerate_all(task: EnumerationTask, prune: bool = True):

@@ -3,9 +3,9 @@
 The branch data is a rational (n-d-1) x d matrix whose rows extend the
 d+2 standard hyperplanes of P^d to a configuration of n+1 hyperplanes
 H_0..H_n.  The degree-p model is the variety x_t^p = -H_t(x_0^p, ..., x_d^p)
-for t = d+1..n, read off the hyperplanes themselves.  General position is
-decided by exact rational rank computations; the model, the quotient
-projection, and its fibers are handled in floating point.
+for t = d+1..n, read off the hyperplanes themselves.  An `Arrangement`
+decides general position once, by exact rational ranks, and makes its float
+image once; the model, the projection, and its fibers are numeric.
 """
 
 import cmath
@@ -87,7 +87,7 @@ class Arrangement:
     def hyperplanes(self):
         """Coefficient vectors in Q^{d+1} of the n+1 hyperplanes, in order.
         Every H_t with t > d is 1 at coordinate d.  Built once per
-        arrangement, as `residual` reads them at every point."""
+        arrangement, for `general_position` and `float_planes`."""
         d = self.d
         out = [tuple(Fraction(int(i == j)) for j in range(d + 1)) for i in range(d + 1)]
         out.append(tuple(Fraction(1) for _ in range(d + 1)))
@@ -95,15 +95,25 @@ class Arrangement:
             out.append(row + (Fraction(1),))
         return tuple(out)
 
+    @cached_property
+    def general_position(self) -> bool:
+        """Every k <= d+1 of the coefficient vectors has full rank k (so every
+        k <= d hyperplanes meet in dimension d-k and every d+1 meet emptily).
+        Only the (d+1)-subsets are tested: there are n+1 >= d+2 vectors, so
+        every smaller subset lies in one of them, and a subset of independent
+        vectors is independent."""
+        return all(rational_rank(subset) == self.d + 1
+                   for subset in combinations(self.hyperplanes, self.d + 1))
 
-def in_general_position(arr: Arrangement) -> bool:
-    """Every k <= d+1 of the coefficient vectors has full rank k (so every
-    k <= d hyperplanes meet in dimension d-k and every d+1 meet emptily).
-    Only the (d+1)-subsets are tested: there are n+1 >= d+2 vectors, so
-    every smaller subset lies in one of them, and a subset of independent
-    vectors is independent."""
-    return all(rational_rank(subset) == arr.d + 1
-               for subset in combinations(arr.hyperplanes, arr.d + 1))
+    @cached_property
+    def float_planes(self):
+        """The float image: the hyperplanes as floats, each paired with its
+        Euclidean norm, the one place floats are made from the arrangement."""
+        try:
+            planes = [tuple(float(a) for a in plane) for plane in self.hyperplanes]
+        except OverflowError as exc:
+            raise ParameterError("arrangement entry too large for a float") from exc
+        return tuple((plane, math.sqrt(sum(a * a for a in plane))) for plane in planes)
 
 
 def in_general_position_minors(arr: Arrangement) -> bool:
@@ -144,7 +154,7 @@ def random_omega_sample(seed: int, n: int, d: int) -> Arrangement:
             for _ in range(rows)
         )
         arr = Arrangement(lam=lam, n=n, d=d)
-        if in_general_position(arr):
+        if arr.general_position:
             return arr
     raise ResourceLimitError(f"no general-position sample found in {OMEGA_TRIALS} trials")
 
@@ -192,7 +202,7 @@ class VarietyModel:
     def __post_init__(self):
         if self.p < 2:
             raise ParameterError(f"p must be >= 2, got {self.p}")
-        if not in_general_position(self.arrangement):
+        if not self.arrangement.general_position:
             raise ParameterError("the arrangement is not in general position")
 
     @property
@@ -225,12 +235,14 @@ def normalize_coords(coords):
     coords = tuple(complex(c) for c in coords)
     if not all(map(cmath.isfinite, coords)):
         raise ParameterError("projective point coordinates must be finite")
+    if any(max(abs(c.real), abs(c.imag)) > 2.0 ** 1000 for c in coords):
+        # exactly, so that abs and the division below cannot overflow
+        coords = tuple(complex(c.real * 2.0 ** -1000, c.imag * 2.0 ** -1000) for c in coords)
     mags = [abs(c) for c in coords]
     top = max(mags)
     if top == 0.0:
         raise ParameterError("projective point cannot be the zero vector")
-    i = mags.index(top)
-    scale = coords[i]
+    scale = coords[mags.index(top)]
     return tuple(c / scale for c in coords)
 
 
@@ -254,8 +266,8 @@ def residual(model: VarietyModel, x: ProjectivePoint) -> float:
         raise DimensionError(f"point has {len(x.coords)} coords, expected {model.n + 1}")
     powers = [c ** model.p for c in x.coords]
     d = model.d
-    return max(abs(sum(float(a) * z for a, z in zip(plane, powers)) + powers[t])
-               for t, plane in enumerate(model.arrangement.hyperplanes[d + 1:], start=d + 1))
+    return max(abs(sum(a * z for a, z in zip(plane, powers)) + powers[t])
+               for t, (plane, _) in enumerate(model.arrangement.float_planes[d + 1:], d + 1))
 
 
 def is_on_variety(model: VarietyModel, x: ProjectivePoint) -> bool:
@@ -280,11 +292,8 @@ def apply_element(exponents, x: ProjectivePoint, p: int) -> ProjectivePoint:
 
 def on_branch_locus(arr: Arrangement, y: ProjectivePoint) -> bool:
     ynorm = math.sqrt(sum(abs(c) ** 2 for c in y.coords))
-    for plane in arr.hyperplanes:
-        fplane = [float(a) for a in plane]
-        lnorm = math.sqrt(sum(a * a for a in fplane))
-        val = abs(sum(a * c for a, c in zip(fplane, y.coords)))
-        if val < BRANCH_PROXIMITY * ynorm * lnorm:
+    for plane, lnorm in arr.float_planes:
+        if abs(sum(a * c for a, c in zip(plane, y.coords))) < BRANCH_PROXIMITY * ynorm * lnorm:
             return True
     return False
 
@@ -307,8 +316,8 @@ def fiber_over(y: ProjectivePoint, model: VarietyModel, cap: int = FIBER_CAP):
     if p ** n > cap:
         raise ResourceLimitError(f"fiber size {p ** n} exceeds cap {cap}", attempted=p ** n)
     # y holds x_0^p..x_d^p; x_t^p = -H_t(y) for the remaining coordinates
-    z = list(y.coords) + [-sum((float(a) * c for a, c in zip(plane, y.coords) if a), 0j)
-                          for plane in model.arrangement.hyperplanes[d + 1:]]
+    z = list(y.coords) + [-sum((a * c for a, c in zip(plane, y.coords) if a), 0j)
+                          for plane, _ in model.arrangement.float_planes[d + 1:]]
     w = cmath.exp(2j * cmath.pi / p)
     roots = [c ** (1.0 / p) if c != 0 else 0j for c in z]
     # principal root for coordinate 1 is pinned; the other n coordinates

@@ -213,6 +213,27 @@ def test_lambda_file_outside_the_domain_exits_2(capsys, tmp_path):
     assert json.loads(out)["results"]["generalPosition"] is False
 
 
+def test_float_overflow_exits_2(capsys, tmp_path):
+    # an entry or coordinate beyond the float range is refused, not a
+    # traceback; arrangement never makes floats and accepts the file
+    big = tmp_path / "big.json"
+    big.write_text('{"n": 4, "d": 2, "lambda": [["1e400", "3"]]}')
+    fiber = ("fiber", "--d", "2", "--p", "2", "--n", "4")
+    for argv, message in (
+        (fiber + ("--lambda", str(big), "--point", "1,0.31,-0.57"), "too large for a float"),
+        # normalized, both points are [1 : ~3e-309 : ~3e-309]
+        (fiber + ("--seed", "11", "--point", "1.7e308+1.7e308j,1,1"), "branch locus"),
+        (fiber + ("--seed", "11", "--point", "1e308+1e308j,1,1"), "branch locus"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and message in err, argv
+        assert "Traceback" not in err, argv
+    code, out, _ = run(capsys, "arrangement", "--d", "2", "--n", "4", "--lambda", str(big))
+    assert code == 0
+    assert json.loads(out)["results"]["generalPosition"] is True
+
+
 def test_cap_flag_rejected_where_unread():
     with pytest.raises(SystemExit) as exc:
         main(["cohomology", "--d", "2", "--p", "3", "--n", "5", "--cap-subspaces", "5"])
@@ -312,6 +333,8 @@ def test_failed_reproduction_exits_4(capsys, monkeypatch):
 
 
 MISSING_LAMBDA = str(Path(__file__).parent / "no-such-lambda.json")
+# d=2, n=4, with an entry no float can hold
+BIG_LAMBDA = str(Path(__file__).parent / "big-entry-lambda.json")
 SMALL = st.integers(-1, 7)
 PRIMES = st.sampled_from((-1, 0, 1, 2, 3, 4, 5, 7, 257))
 # comma-separated fields: integers, and strings no parser should accept
@@ -322,7 +345,7 @@ FIELDS = st.lists(
 ).map(",".join)
 ROWS = st.one_of(FIELDS, st.lists(FIELDS, max_size=4).map(";".join))
 COORDS = st.sampled_from(("1", "0", "0.31", "-0.57", "2j", "1+1j", "-1e300", "abc", "", "nan",
-                          "inf"))
+                          "inf", "1.7e308+1.7e308j", "1e308+1e308j"))
 # invariants has no cap flag; its Hilbert basis and relation walks are
 # capped at this many steps during the fuzz, so one draw takes at most
 # about 0.1 s where the default caps allow seconds
@@ -369,7 +392,7 @@ def computing_argv(draw):
         element, gens = draw(FIELDS), draw(ROWS)
         point = draw(st.integers(0, 5).flatmap(lambda k: _joined(COORDS, k)))
         seed = draw(_maybe(st.integers(-2, 50)))
-        lam = draw(_maybe(st.just(MISSING_LAMBDA)))
+        lam = draw(_maybe(st.sampled_from((MISSING_LAMBDA, BIG_LAMBDA))))
     argv = [cmd, f"--d={d}", f"--n={n}"]
     if cmd != "arrangement":
         argv.append(f"--p={p}")
@@ -406,6 +429,10 @@ def _strict_loads(text):
 @example(["arrangement", "--d=2", "--n=5", "--lambda=--"])
 # json.dumps writes a NaN coordinate as NaN, which is not JSON
 @example(["fiber", "--d=2", "--n=4", "--p=2", "--seed=11", "--point=nan,1,1"])
+# a float overflow in an arrangement entry or a coordinate
+@example(["fiber", "--d=2", "--n=4", "--p=2", f"--lambda={BIG_LAMBDA}", "--point=1,0.31,-0.57"])
+@example(["fiber", "--d=2", "--n=4", "--p=2", "--seed=11", "--point=1.7e308+1.7e308j,1,1"])
+@example(["fiber", "--d=2", "--n=4", "--p=2", "--seed=11", "--point=1e308+1e308j,1,1"])
 def test_cli_input_contract(argv):
     out, err = StringIO(), StringIO()
     with (redirect_stdout(out), redirect_stderr(err),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genfermat import geometry
 from genfermat.errors import DimensionError, ParameterError, ResourceLimitError
 from genfermat.geometry import (
     Arrangement,
@@ -19,7 +20,6 @@ from genfermat.geometry import (
     arrangement_to_json,
     fermat_model,
     fiber_over,
-    in_general_position,
     in_general_position_minors,
     is_on_variety,
     on_branch_locus,
@@ -48,7 +48,7 @@ def test_arrangement_validation():
 
 def test_fermat_degeneration():
     arr = Arrangement(lam=(), n=3, d=2)
-    assert in_general_position(arr)
+    assert arr.general_position
     model = fermat_model(p=3, d=2)
     assert model.n == 3 and model.d == 2
     # the one equation x_3^p = -(x_0^p + x_1^p + x_2^p) is the sum hyperplane
@@ -58,11 +58,11 @@ def test_fermat_degeneration():
 def test_general_position_detects_degeneracy():
     # tilted plane parallel to the sum hyperplane: coincident directions
     arr = Arrangement(lam=((Fraction(1), Fraction(1)),), n=4, d=2)
-    assert not in_general_position(arr)
+    assert not arr.general_position
     with pytest.raises(ParameterError, match="general position"):
         VarietyModel(p=2, arrangement=arr)
     good = Arrangement(lam=((Fraction(2), Fraction(3)),), n=4, d=2)
-    assert in_general_position(good)
+    assert good.general_position
     assert VarietyModel(p=2, arrangement=good).arrangement == good
 
 
@@ -70,7 +70,7 @@ def test_general_position_detects_degeneracy():
 @settings(max_examples=15)
 def test_two_position_checkers_agree(seed, n):
     arr = random_omega_sample(seed, n, 2)
-    assert in_general_position(arr)
+    assert arr.general_position
     assert in_general_position_minors(arr)
 
 
@@ -85,10 +85,23 @@ def test_two_position_checkers_agree_on_both_verdicts():
         lam = tuple(tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(d))
                     for _ in range(n - d - 1))
         arr = Arrangement(lam=lam, n=n, d=d)
-        verdict = in_general_position(arr)
+        verdict = arr.general_position
         assert verdict == in_general_position_minors(arr), arr
         verdicts.append(verdict)
     assert set(verdicts) == {True, False}
+
+
+def test_general_position_decided_once(monkeypatch):
+    # the model reads the verdict the sampler cached on the arrangement
+    calls = []
+    rank = geometry.rational_rank
+    monkeypatch.setattr(geometry, "rational_rank", lambda rows: calls.append(rows) or rank(rows))
+    arr = random_omega_sample(2024, 4, 2)
+    sampled = len(calls)
+    assert sampled > 0
+    VarietyModel(p=2, arrangement=arr)
+    assert arr.general_position
+    assert len(calls) == sampled
 
 
 def test_sampler_deterministic():
@@ -114,6 +127,17 @@ def test_projective_normalization():
     y = ProjectivePoint((1, 2))
     assert projectively_close(x, y)
     assert not projectively_close(x, ProjectivePoint((1, 3)))
+
+
+def test_normalization_near_the_float_limit():
+    # a component above 2^1000 scales the point by 2^-1000 first, exactly,
+    # so abs and the division cannot overflow
+    assert ProjectivePoint((2.0 ** 1000, 3)).coords == (1, 3 * 2.0 ** -1000)
+    assert ProjectivePoint((2.0 ** 1001, 3)).coords == (1, 3 * 2.0 ** -1001)
+    for big in (1.7e308 + 1.7e308j, 1e308 + 1e308j):
+        x = ProjectivePoint((big, 1, 1))
+        assert x.coords[0] == 1 and x.coords[1] == x.coords[2]
+        assert 0 < abs(x.coords[1]) < 1e-308
 
 
 def test_residual_on_fermat_point():
