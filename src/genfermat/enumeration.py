@@ -18,8 +18,10 @@ together with every completion of its row prefix.  Freeness is
 cross-checked elsewhere against the element-wise predicate.  The walk packs
 its columns into ints with whole-byte fields (`groups.Packed`, p <= 255)
 and gathers each lift basis from their bytes, with no elimination, each
-kernel row built once where the walk places it (`enumerate_all`).  The
-kernels come sorted by basis, their canonical-key order, so no key is built.
+kernel row built once where the walk places it (`enumerate_all`).  A leaf
+node rejects its candidates with one set, built where they outnumber its
+packed adds, and yields its kernels in basis order (`_walk`), so sorting by
+basis, their canonical-key order, merges presorted runs and builds no key.
 
 Classification is up to the S_{n+1} of generator permutations.
 `classify_orbits` indexes the kernels by their lift bases as tuples of
@@ -151,17 +153,33 @@ def _walk(row, hi, packed, vecs, spans, total, tail, node, above, share):
     coordinate 0, zero at every pivot and the final running total
     (all-ones plus every column) on Q.  Rows are read off the bytes of
     packed vectors by the getters of `node`, one per s, built on first use
-    for the s-prefix placed so far.  A leaf's dependent column -(total + c)
-    lies in the top span iff total + c is in spans[-1] or total + b*c in
-    spans[-2] for some b != 1, and b = 0 rejects every leaf at once."""
+    for the s-prefix placed so far.
+
+    A leaf node (row 0 at one s) runs over x = total + c.  Its dependent
+    column -x is in the top span once c joins iff x is in spans[-1] or
+    total + b*c = b*x - (b-1)*total is in spans[-2] for some b != 1 (b = 0
+    rejects every leaf at once).  The spans are closed under scaling by
+    F_p^*, so x is rejected iff it lies in R = top, top + total (c in top)
+    or lower + a*total, a = 1 - 1/b = 2..p-1.  R is built when node s = 0's
+    p^m candidates outnumber its 2|top| + (p-2)|lower| packed adds, and
+    serves every node; else each candidate is probed term by term.  x runs
+    as head + y (total below field s, no carry) for y over the vectors on
+    s..m-1 in lexicographic order, so a node yields its bases ascending."""
     p, high, bias, sh = packed.p, packed.high, packed.bias, packed.w - 1
     nbytes = packed.w // 8 * packed.m + 2
     one = 1 << (8 * nbytes - 8)  # the bytes 0 and 1 after the fields
     neg = packed.ones * p + one  # neg - c is -c with fields in [1, p]
     top = spans[-1]
     lower, more = (spans[-2], range(p - 2)) if len(spans) > 1 else ((), ())  # b = 2..p-1
-    if not row and total in lower:
-        return
+    if not row:
+        if total in lower:
+            return
+        neg += total  # neg - x is total - x = -c with fields in [1, 2p-1]
+        rejects = None
+        if p ** packed.m > 2 * len(top) + len(more) * len(lower):  # node s = 0 vs R's adds
+            rejects = set(top)
+            for a, span in zip(packed.multiples(total)[1:], [top] + [lower] * len(more)):
+                rejects.update([(z := u + a) - (((z + bias) & high) >> sh) * p for u in span])
     for s in range(hi + 1):
         entry = node.get(s)
         if entry is None:
@@ -183,26 +201,38 @@ def _walk(row, hi, packed, vecs, spans, total, tail, node, above, share):
                 yield from _walk(row - 1, s, packed, vecs, spans, packed.add(total, c),
                                  (share(r, r),) + tail, below, pivots, share)
                 packed.shrink(spans, added)
-        else:
-            get, get_top = entry
-            for c in cols:
-                if c in top:
+            continue
+        get, get_top = entry
+        if s:  # x = head + y has total's fields below s
+            head = total & ((1 << packed.w * s) - 1)
+            cols = [head + y for y in cols]
+        if rejects is not None:
+            for x in cols:
+                if x in rejects:
                     continue
-                x = total + c
-                x -= (((x + bias) & high) >> sh) * p
-                if x in top:
-                    continue
-                y = x
-                for _ in more:
-                    y += c
-                    y -= (((y + bias) & high) >> sh) * p
-                    if y in lower:
-                        break
-                else:
-                    r = neg - c
-                    r = get((r - (((r + bias) & high) >> sh) * p).to_bytes(nbytes, "little"))
-                    t = get_top((x + one).to_bytes(nbytes, "little"))
-                    yield (share(t, t), share(r, r)) + tail
+                r = neg - x
+                r = get((r - (((r + bias) & high) >> sh) * p).to_bytes(nbytes, "little"))
+                t = get_top((x + one).to_bytes(nbytes, "little"))
+                yield (share(t, t), share(r, r)) + tail
+            continue
+        bare = neg - one  # bare - x is -c, with no marker bytes
+        for x in cols:
+            if x in top:
+                continue
+            r = bare - x
+            r -= (((r + bias) & high) >> sh) * p
+            if r in top:
+                continue
+            z = x
+            for _ in more:
+                z += total
+                z -= (((z + bias) & high) >> sh) * p
+                if z in lower:
+                    break
+            else:
+                r = get((r + one).to_bytes(nbytes, "little"))
+                t = get_top((x + one).to_bytes(nbytes, "little"))
+                yield (share(t, t), share(r, r)) + tail
 
 
 def _leaves(packed, k, d, share):

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from genfermat import invariants, reproduce
 from genfermat.cli import main
-from genfermat.geometry import arrangement_to_json, random_omega_sample
+from genfermat.geometry import (
+    ProjectivePoint,
+    VarietyModel,
+    arrangement_from_json,
+    arrangement_to_json,
+    is_on_variety,
+    random_omega_sample,
+)
 
 
 def run(capsys, *argv):
@@ -232,6 +239,22 @@ def test_float_overflow_exits_2(capsys, tmp_path):
     code, out, _ = run(capsys, "arrangement", "--d", "2", "--n", "4", "--lambda", str(big))
     assert code == 0
     assert json.loads(out)["results"]["generalPosition"] is True
+
+
+def test_large_entry_fiber_off_the_branch_locus(capsys, tmp_path):
+    # a plane's squared entries overflow above about 1.3e154, so its norm is
+    # taken with scaling there: an infinite norm put every point on the locus
+    for entry in ("1e200", "1e300", "1.7e308"):
+        big = tmp_path / "big.json"
+        big.write_text(f'{{"n": 4, "d": 2, "lambda": [["{entry}", "3"]]}}')
+        code, out, err = run(capsys, "fiber", "--d", "2", "--p", "2", "--n", "4",
+                             "--lambda", str(big), "--point", "1,0.31,-0.57")
+        assert code == 0, (entry, err)
+        model = VarietyModel(p=2, arrangement=arrangement_from_json(json.loads(big.read_text())))
+        points = [ProjectivePoint(tuple(complex(*c) for c in json.loads(line)["coords"]))
+                  for line in out.strip().splitlines()]
+        assert len(points) == 16
+        assert all(is_on_variety(model, x) for x in points), entry
 
 
 def test_cap_flag_rejected_where_unread():

@@ -120,6 +120,13 @@ def _elementwise_free_keys(task):
 @example((2, 3, 4, 3))
 @example((2, 5, 3, 2))
 @example((2, 5, 4, 3))
+# both leaf paths (`_walk`): d = 1, whose lower span is empty, and p = 7 at d = 3
+@example((1, 2, 4, 2))
+@example((1, 3, 4, 2))
+@example((1, 5, 3, 2))
+@example((1, 3, 5, 3))
+@example((3, 7, 4, 3))
+@example((3, 7, 5, 4))
 def test_enumerate_all_matches_elementwise_filter(cell):
     task = EnumerationTask(*cell)
     brute = _elementwise_free_keys(task)
@@ -267,6 +274,21 @@ def test_kernels_share_row_tuples():
     found = enumerate_all(EnumerationTask(2, 5, 5, 3))
     rows = [row for K in found for row in K.basis]
     assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
+
+
+def test_leaf_nodes_yield_ascending_bases():
+    # a leaf node (one tail of kernel rows and one pivot of the last kernel
+    # row placed) runs over its final totals in order, so its bases ascend
+    # and the sort in enumerate_all merges runs; the order of the columns c
+    # would not ascend
+    for d, p, n, m in [(3, 5, 6, 5), (2, 5, 5, 3), (3, 3, 7, 6)]:
+        bases = list(enumeration._leaves(Packed.byte_fields(p, m), n - m, d, {}.setdefault))
+        within = 0
+        for a, b in zip(bases, bases[1:]):
+            if a[2:] == b[2:] and a[1].index(1) == b[1].index(1):
+                assert a < b, (d, p, n, m)
+                within += 1
+        assert within > len(bases) // 2, (d, p, n, m)
 
 
 def test_kernel_storage_bytes():
