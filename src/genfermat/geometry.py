@@ -109,14 +109,13 @@ class Arrangement:
     def float_planes(self):
         """The float image: the hyperplanes as floats, each paired with its
         Euclidean norm, the one place floats are made from the arrangement.
-        A plane with an entry above 2^500 takes `math.hypot`, which scales
-        by a power of two, so its squares cannot overflow."""
+        The norm is `math.hypot`, which scales before squaring, so a large
+        entry cannot overflow it to inf."""
         try:
             planes = [tuple(float(a) for a in plane) for plane in self.hyperplanes]
         except OverflowError as exc:
             raise ParameterError("arrangement entry too large for a float") from exc
-        return tuple((plane, math.hypot(*plane) if max(map(abs, plane)) > 2.0 ** 500
-                      else math.sqrt(sum(a * a for a in plane))) for plane in planes)
+        return tuple((plane, math.hypot(*plane)) for plane in planes)
 
 
 def in_general_position_minors(arr: Arrangement) -> bool:
