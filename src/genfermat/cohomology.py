@@ -8,7 +8,7 @@ the surface class: rational where r1 < 0 and K3 where r1 = 0 (`golden`).
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, prod
 
 from .errors import InconsistencyError, ParameterError, ResourceLimitError
 from .groups import GroupParams
@@ -80,6 +80,15 @@ def h_i(d: int, p: int, n: int, i: int, r: int) -> int:
     if i == d:
         return h0_twist(d, p, n, canonical_twist(d, p, n) - r)
     return 0
+
+
+def euler_characteristic(d: int, p: int, n: int, r: int) -> int:
+    """chi of the r-th twisting sheaf, by the Koszul resolution of the n-d
+    degree-p equations: sum_j (-1)^j C(n-d, j) P_n(r - jp), where P_n(s) =
+    (s+1)...(s+n)/n! is chi(O(s)) on P^n, a product so that s < 0 works.
+    It shares no code with `h0_twist` or `h_i`."""
+    return sum((-1) ** j * comb(n - d, j) * prod(range(r - j * p + 1, r - j * p + n + 1))
+               for j in range(n - d + 1)) // factorial(n)
 
 
 def plurigenus(d: int, p: int, n: int, m: int) -> int:

@@ -9,13 +9,13 @@ vanishes.
 Enumeration is one depth-first walk over the reduced-echelon bases of the
 (n-m)-dimensional subspaces of F_p^n, each the part of a kernel's lift in
 F_p^{n+1} that is zero at coordinate 0, filling one basis row at a time.
-The quotient columns are read off the basis without elimination: the
-non-pivot columns are unit vectors, row i alone fixes the column at its
+The quotient columns are read off the basis without elimination, as
+`groups.quotient_columns` reads them off any kernel for the dual oracle:
+the non-pivot columns are unit vectors, row i alone fixes the column at its
 pivot, and the column of coordinate 0 is minus the sum.  The walk keeps
 layered spans L_0 <= ... <= L_{d-1} of the columns placed so far (L_r:
 every combination of at most r of them); a column in L_{d-1} is rejected
-together with every completion of its row prefix.  Freeness is
-cross-checked elsewhere against the element-wise predicate.  The walk packs
+together with every completion of its row prefix.  The walk packs
 its columns into ints with whole-byte fields (`groups.Packed`, p <= 255)
 and gathers each lift basis from their bytes, with no elimination, each
 kernel row built once where the walk places it (`enumerate_all`).  A leaf
@@ -30,7 +30,9 @@ those rows: either costs at most one rank-one insertion, planned once per
 inserted row and cell, and no key bytes are built.  The canonical key of
 an orbit is its least subgroup key [I | A]; `canonical_orbit_key` finds it
 from the information sets of one member, merging search states equal up
-to a column bijection, and the closure is its test oracle.
+to a column bijection, and the closure is its test oracle.  The explicit
+p = 2 families are the kernels of their column lists
+(`groups.subgroup_from_columns`).
 """
 
 import time
@@ -42,13 +44,8 @@ from operator import attrgetter, itemgetter
 from .errors import InconsistencyError, ParameterError, ResourceLimitError
 from .fixed_points import free_rank_bound
 from .groups import (
-    GroupParams,
-    Packed,
-    Subgroup,
-    canonical_key,
-    subgroup_canonical_key,
-    subgroup_from_lift_rows,
-    subgroup_to_json,
+    GroupParams, Packed, Subgroup, canonical_key, quotient_columns, subgroup_canonical_key,
+    subgroup_from_columns, subgroup_to_json,
 )
 
 
@@ -68,8 +65,7 @@ class EnumerationTask:
         params.require_prime()
         params.require_domain()
         params.require_byte_entries()
-        if not 0 <= self.m <= self.n:
-            raise ParameterError(f"need 0 <= m <= n, got m={self.m}, n={self.n}")
+        params.require_quotient_rank(self.m)
         if self.cap_subspaces < 0:
             raise ParameterError(f"cap_subspaces must be non-negative, got {self.cap_subspaces}")
 
@@ -102,6 +98,7 @@ def necessary_bounds(d: int, p: int, n: int, m: int) -> Verdict:
     params = GroupParams(p=p, n=n, d=d)
     params.require_prime()
     params.require_domain()
+    params.require_quotient_rank(m)
     if m < d:
         return Verdict(False, f"quotient rank m={m} below dimension d={d}")
     if m == d == 2 and p < 4:
@@ -273,19 +270,6 @@ def iter_rref_bases(n: int, k: int, p: int):
             yield tuple(map(tuple, rows))
 
 
-def _quotient_columns(K: Subgroup):
-    """The n+1 columns in F_p^m of the quotient map of F_p^{n+1} by K's lift,
-    read off its RREF basis, non-pivot columns first: with pivots P and
-    non-pivot positions Q = (Q_1..Q_m), the column at Q_t is the unit vector
-    e_t and the column at pivot P_i is minus row i on Q."""
-    p, n1 = K.params.p, K.params.n + 1
-    pivots = [next(j for j, x in enumerate(row) if x) for row in K.basis]
-    free = [q for q in range(n1) if q not in pivots]
-    cols = [tuple(int(s == t) for s in range(len(free))) for t in range(len(free))]
-    cols += [tuple(-row[q] % p for q in free) for row in K.basis]
-    return cols
-
-
 def _columns_free(cols, d: int, p: int) -> bool:
     """No nonzero combination of at most d columns vanishes: fold the
     columns through the layered spans, rejecting any already spanned."""
@@ -302,12 +286,13 @@ def _columns_free(cols, d: int, p: int) -> bool:
 def subgroup_is_free_dual(K: Subgroup, d: int) -> bool:
     """Oracle: whether K acts freely, by the dual route on K alone.
 
-    Reads the quotient columns off K's own lift basis, with no element
-    enumeration and no elimination.  It shares no code with the walk but
+    Reads the quotient columns off K's own lift basis
+    (`groups.quotient_columns`), with no element enumeration and no
+    elimination.  It shares no code with the walk but
     the span growth `Packed.grow`, and its tests run `acts_freely_subgroup`
     beside it; they check every kernel the walk keeps, and elimination's
     candidates, with it."""
-    return _columns_free(_quotient_columns(K), d, K.params.p)
+    return _columns_free(quotient_columns(K), d, K.params.p)
 
 
 def enumerate_all(task: EnumerationTask, prune: bool = True):
@@ -571,28 +556,10 @@ def canonical_orbit_key(K: Subgroup) -> bytes:
 # Explicit constructions (p = 2 families)
 # ---------------------------------------------------------------------------
 
-def _kernel_from_columns(cols, params: GroupParams) -> Subgroup:
-    """Kernel of the quotient map [I_m | C] sending phi_1..phi_m to the unit
-    vectors and phi_{m+j} to cols[j-1], the columns of C.  Its lift is read
-    off the map: x lies in it iff x_t = -sum_j C[t][j] x_{m+j} for t < m, so
-    it is spanned by e_{m+j} - sum_t C[t][j] e_t, with no elimination.  The
-    n+1 columns must sum to zero mod p (the product relation), or all-ones
-    would not lie in the lift."""
-    p, m = params.p, len(cols[0])
-    if any((1 + sum(c[t] for c in cols)) % p for t in range(m)):
-        raise InconsistencyError("columns do not satisfy the product relation")
-    rows = [tuple(-x % p for x in c) + tuple(int(i == j) for i in range(len(cols)))
-            for j, c in enumerate(cols)]
-    return subgroup_from_lift_rows(rows, params)
-
-
-def _sum_units(m, idxs):
-    return tuple(1 if j in idxs else 0 for j in range(m))
-
-
 def _family_columns(kind: str, n: int, m: int):
-    """(n, C) for the family `kind` of `construct_family`: C lists the
-    columns after the m unit vectors, the 0/1 vectors on its index blocks."""
+    """(n, cols) for the family `kind` of `construct_family`: the n+1
+    quotient columns, the m unit vectors and then the 0/1 vectors on its
+    index blocks."""
     if kind == "n_minus_1":
         if n is None or n < 5:
             raise ParameterError("n_minus_1 family requires n >= 5")
@@ -621,14 +588,15 @@ def _family_columns(kind: str, n: int, m: int):
         blocks = list(combinations(range(m), 2)) + [range(m)]
     else:
         raise ParameterError(f"unknown family kind {kind!r}")
-    return n, [_sum_units(m, b) for b in blocks]
+    blocks = [(t,) for t in range(m)] + list(blocks)
+    return n, [tuple(int(t in b) for t in range(m)) for b in blocks]
 
 
 def construct_family(kind: str, *, n: int = None, m: int = None) -> Subgroup:
     """Explicit freely-acting kernels for p=2 and d=2, each the kernel of a
     quotient map whose columns are the m unit vectors followed by 0/1
     vectors of weight >= 2 on fixed index blocks (`_family_columns`), so
-    its lift is read off the columns (`_kernel_from_columns`).
+    its lift is read off the columns (`groups.subgroup_from_columns`).
 
     kind one of:
       n_minus_1: quotient rank n-1, needs n >= 5; two halves of the indices
@@ -639,7 +607,7 @@ def construct_family(kind: str, *, n: int = None, m: int = None) -> Subgroup:
                  the full index set
     """
     n, cols = _family_columns(kind, n, m)
-    return _kernel_from_columns(cols, GroupParams(p=2, n=n, d=2))
+    return subgroup_from_columns(cols, GroupParams(p=2, n=n, d=2))
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,18 @@ Normal forms and words in the canonical generators work for any p >= 2;
 the subgroup linear algebra (echelon forms, quotient ranks) requires p
 prime.  Vectors over F_p can also be packed into ints (`Packed`), so that a
 vector sum is one int addition; `canonical_key` is the one definition of a
-subgroup's key bytes.
+subgroup's key bytes; `quotient_columns` reads the quotient map H -> H/K off
+a subgroup's basis, and `subgroup_from_columns` is its exact inverse.
 """
 
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
-from .errors import DimensionError, ParameterError, ResourceLimitError, UnsupportedParameterError
+from .errors import (
+    DimensionError, InconsistencyError, ParameterError, ResourceLimitError,
+    UnsupportedParameterError,
+)
 
 
 def is_prime(p: int) -> bool:
@@ -58,6 +62,11 @@ class GroupParams:
         """The paper's domain d+1 <= n; at n = d the trivial kernel is free."""
         if self.n < self.d + 1:
             raise ParameterError(f"need d+1 <= n, got d={self.d}, n={self.n}")
+
+    def require_quotient_rank(self, m: int):
+        """A quotient H/K ~ Z_p^m of H ~ Z_p^n has 0 <= m <= n."""
+        if not 0 <= m <= self.n:
+            raise ParameterError(f"need 0 <= m <= n, got m={m}, n={self.n}")
 
     def require_prime(self):
         if not is_prime(self.p):
@@ -269,6 +278,40 @@ def quotient_rank(K: Subgroup) -> int:
     """m with H/K isomorphic to Z_p^m."""
     K.params.require_prime()
     return K.params.n - (len(K.basis) - 1)
+
+
+def quotient_columns(K: Subgroup) -> list:
+    """The columns c_0..c_n in F_p^m of a quotient map F_p^{n+1} -> F_p^m
+    whose kernel is K's lift, read off its RREF basis with no elimination:
+    with non-pivot coordinates Q_1 < ... < Q_m, the column at Q_t is the
+    unit vector e_t and the column at row i's pivot is minus row i on Q."""
+    p, n1 = K.params.p, K.params.n + 1
+    rows = {row.index(1): row for row in K.basis}  # each row leads with its pivot's 1
+    free = [j for j in range(n1) if j not in rows]
+    units = {q: tuple(int(s == t) for s in range(len(free))) for t, q in enumerate(free)}
+    return [units[j] if j in units else tuple(-rows[j][q] % p for q in free) for j in range(n1)]
+
+
+def subgroup_from_columns(cols, params: GroupParams) -> Subgroup:
+    """The kernel of the quotient map with columns `cols` (n+1 vectors in
+    F_p^m), the inverse of `quotient_columns`.  With Q_t the first
+    coordinate whose column is the unit vector e_t, every other coordinate
+    j gives the lift vector e_j - sum_t c_j[t] e_{Q_t}.  The columns must
+    sum to zero mod p (the product relation), or all-ones would not lie in
+    the lift."""
+    p, m = params.p, len(cols[0])
+    if any(sum(c[t] for c in cols) % p for t in range(m)):
+        raise InconsistencyError("columns do not satisfy the product relation")
+    first = {}  # t -> Q_t
+    for j, c in enumerate(cols):
+        if c.count(0) == m - 1 and 1 in c:
+            first.setdefault(c.index(1), j)
+    if len(first) < m:
+        raise ParameterError("the unit vectors are not all among the columns")
+    q = {j: t for t, j in first.items()}
+    rows = [[-c[q[i]] % p if i in q else int(i == j) for i in range(len(cols))]
+            for j, c in enumerate(cols) if j not in q]
+    return subgroup_from_lift_rows(rows, params)
 
 
 def subgroup_element_basis(K: Subgroup):

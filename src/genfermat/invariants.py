@@ -15,7 +15,8 @@ so `find_binomial_relations` returns a `BinomialRelations` sequence that
 stores the classes as arrays of codes and decodes the (a, b) pairs,
 class-major, only when they are read.  The affine-linear relations coming
 from the model x_t^p = -H_t(x_0^p, ..., x_d^p) on the chart x_{n+1}=1, and
-the induced action of the quotient group, are computed here too.
+the induced action of the quotient group, are computed here too; its
+basis of H/K is the pivot columns of the quotient map.
 """
 
 from array import array
@@ -34,12 +35,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .groups import (
-    Packed,
-    Subgroup,
-    generator,
-    is_prime,
-    rref_mod_p,
-    subgroup_element_basis,
+    Packed, Subgroup, generator, is_prime, quotient_columns, rref_mod_p, subgroup_element_basis,
 )
 
 
@@ -408,14 +404,12 @@ def linear_relations(model, gens):
 
 def quotient_generator_reps(K: Subgroup):
     """Canonical generators whose images form a basis of H/K, chosen
-    greedily in index order: phi_{j+1} is kept iff no vector of K's lift has
-    its last nonzero entry at coordinate j, that is, iff n-j is not a pivot
-    of the lift's echelon form with the coordinates reversed.  So one
-    elimination picks all m of them."""
-    n = K.params.n
-    reversed_basis = rref_mod_p([row[::-1] for row in K.basis], K.params.p)
-    lasts = {n - next(i for i, x in enumerate(row) if x) for row in reversed_basis}
-    return [generator(j + 1, K.params) for j in range(n + 1) if j not in lasts]
+    greedily in index order: phi_{j+1} is kept iff its quotient column c_j
+    (`groups.quotient_columns`) is not spanned by c_0..c_{j-1}, that is, iff
+    j is a pivot column of the quotient map's echelon form.  So one
+    elimination of the m x (n+1) map picks all m of them."""
+    echelon = rref_mod_p(zip(*quotient_columns(K)), K.params.p)
+    return [generator(row.index(1) + 1, K.params) for row in echelon]
 
 
 def induced_action(K: Subgroup, gens):

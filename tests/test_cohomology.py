@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from math import comb
 
+from genfermat import cohomology, reproduce
 from genfermat.cohomology import (
     CohomologyProfile,
     canonical_twist,
+    euler_characteristic,
     genus_profile,
     h0_oracle,
     h0_twist,
@@ -68,6 +70,28 @@ def test_duality_and_vanishing():
             assert h_i(d, p, n, i, r) == 0
     with pytest.raises(ParameterError):
         h_i(d, p, n, -1, 0)
+
+
+def test_euler_characteristic_anchors():
+    # chi(O_F): the K3 (2;2,5) has 2, the Campedelli cover (2;2,6) has
+    # 8 = |K| * chi(O_S), the quintic threefold (3;5,4) has 0
+    assert euler_characteristic(2, 2, 5, 0) == 2
+    assert euler_characteristic(2, 2, 6, 0) == 8
+    assert euler_characteristic(3, 5, 4, 0) == 0
+    # a degree-7 surface in P^3 has K = O(3): chi(O(1)) = h^0(O(1)) +
+    # h^0(O(2)) = 4 + 10
+    assert euler_characteristic(2, 7, 3, 1) == 14
+
+
+def test_cohomology_check_catches_a_wrong_canonical_twist(monkeypatch):
+    assert reproduce.check_cohomology_sweep()[0]
+    # duality with r1 + 1 in place of r1 must fail the check
+    wrong = lambda d, p, n: (n - d) * p - n  # noqa: E731
+    monkeypatch.setattr(cohomology, "canonical_twist", wrong)
+    monkeypatch.setattr(reproduce, "canonical_twist", wrong)
+    ok, detail = reproduce.check_cohomology_sweep()
+    assert not ok
+    assert "Euler characteristic" in detail
 
 
 def test_plurigenus_basics():

@@ -43,10 +43,12 @@ from genfermat.groups import (
     autg_apply_subgroup,
     canonical_key,
     generator,
+    quotient_columns,
     quotient_rank,
     rank_mod_p,
     rref_mod_p,
     subgroup_canonical_key,
+    subgroup_from_columns,
     subgroup_from_generators,
     subgroup_from_lift_rows,
 )
@@ -185,6 +187,16 @@ def test_necessary_bounds_prune():
         necessary_bounds(2, 3, 2, 2)  # n = d: the trivial kernel would act freely
 
 
+@pytest.mark.parametrize("d, p, n", [(2, 3, 5), (3, 2, 4), (2, 5, 3)])
+def test_quotient_rank_range_is_refused(d, p, n):
+    # a quotient of H ~ Z_p^n has rank 0..n; the bounds and the task agree
+    for m in (-1, n + 1):
+        with pytest.raises(ParameterError, match="0 <= m <= n"):
+            necessary_bounds(d, p, n, m)
+        with pytest.raises(ParameterError, match="0 <= m <= n"):
+            EnumerationTask(d=d, p=p, n=n, m=m)
+
+
 def test_subspace_cap():
     task = EnumerationTask(d=2, p=2, n=6, m=3, cap_subspaces=100)
     with pytest.raises(ResourceLimitError):
@@ -232,6 +244,24 @@ def test_dual_matches_elementwise_on_sweep():
                 rejected_checked += 1
             if rejected_checked >= 20:
                 break
+
+
+def assert_columns_invert(K):
+    """`quotient_columns` and `subgroup_from_columns` invert each other on
+    K, and the map with those columns sends every lift row to 0."""
+    cols = quotient_columns(K)
+    assert len(cols) == K.params.n + 1
+    assert {len(c) for c in cols} == {quotient_rank(K)}
+    assert subgroup_from_columns(cols, K.params) == K
+    for row in K.basis:
+        assert not any(sum(x * c[t] for x, c in zip(row, cols)) % K.params.p
+                       for t in range(quotient_rank(K)))
+
+
+def test_columns_invert_on_sweep_kernels():
+    for d, p, n, m in SWEEP:
+        for K in enumerate_all(EnumerationTask(d=d, p=p, n=n, m=m)):
+            assert_columns_invert(K)
 
 
 def test_enumerate_all_lifts_match_elimination():
@@ -456,6 +486,19 @@ def test_orbit_closure_matches_all_permutations(K):
     assert _orbit_keys(K) == _orbit_keys_by_all_permutations(K)
 
 
+@settings(max_examples=300)
+@given(lift_subspaces())
+@example(_trivial(2, 1))
+@example(_full(3, 1))
+@example(_trivial(7, 5))
+@example(_full(5, 5))
+# 128 <= p <= 255: quotient columns with entries above one byte's half
+@example(subgroup_from_lift_rows([(0, 1, 5, 130), (0, 0, 2, 7)], GroupParams(p=131, n=3, d=1)))
+@example(subgroup_from_lift_rows([(3, 0, 250, 7, 1)], GroupParams(p=251, n=4, d=1)))
+def test_columns_invert_on_any_lift(K):
+    assert_columns_invert(K)
+
+
 @settings(max_examples=150, deadline=None)
 @given(lift_subspaces())
 @example(_full(2, 1))
@@ -531,13 +574,13 @@ def test_families_free(case):
     kind, kwargs = case
     K = construct_family(kind, **kwargs)
     assert acts_freely_subgroup(K, 2)
-    # the map [I_m | C] that the lift is read off annihilates every lift row
-    n, extra = _family_columns(kind, kwargs.get("n"), kwargs.get("m"))
-    m = len(extra[0])
-    cols = [tuple(int(t == j) for t in range(m)) for j in range(m)] + extra
+    # the map that the lift is read off annihilates every lift row
+    n, cols = _family_columns(kind, kwargs.get("n"), kwargs.get("m"))
+    m = len(cols[0])
     assert len(cols) == n + 1 == K.params.n + 1
     for row in K.basis:
         assert all(sum(x * c[t] for x, c in zip(row, cols)) % 2 == 0 for t in range(m))
+    assert_columns_invert(K)
     if kind == "n_minus_1":
         assert quotient_rank(K) == kwargs["n"] - 1
     elif kind == "n_minus_2":

@@ -6,7 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from genfermat.enumeration import canonical_orbit_key
-from genfermat.errors import DimensionError, ParameterError, UnsupportedParameterError
+from genfermat.errors import (
+    DimensionError,
+    InconsistencyError,
+    ParameterError,
+    UnsupportedParameterError,
+)
 from genfermat.groups import (
     GeneratorPermutation,
     GroupParams,
@@ -15,12 +20,14 @@ from genfermat.groups import (
     autg_apply_subgroup,
     elem_normalize,
     generator,
+    quotient_columns,
     quotient_rank,
     rank_mod_p,
     rref_mod_p,
     subgroup_canonical_key,
     subgroup_element_basis,
     subgroup_elements,
+    subgroup_from_columns,
     subgroup_from_generators,
     subgroup_from_lift_rows,
     subgroup_to_json,
@@ -183,6 +190,26 @@ def test_lift_rows_reject_wrong_row_length():
     for row in ((0, 1, 0, 1, 1), (0, 1)):
         with pytest.raises(DimensionError):
             subgroup_from_lift_rows([row], GroupParams(p=2, n=3, d=1))
+
+
+def test_quotient_columns_in_coordinate_order():
+    params = GroupParams(p=5, n=3, d=1)
+    K = subgroup_from_lift_rows([(0, 1, 0, 2)], params)  # basis (1,0,1,4), (0,1,0,2)
+    # non-pivots 2, 3 carry e_1, e_2; the pivots carry minus their row there
+    assert quotient_columns(K) == [(4, 1), (0, 3), (1, 0), (0, 1)]
+    assert subgroup_from_columns(quotient_columns(K), params) == K
+    # e_1 at coordinates 0 and 2: reading Q_1 = 2, not the first, gives the
+    # lift rows e_0 - e_2 and e_3 - 3e_2 - 4e_1, the same kernel
+    assert subgroup_from_columns([(1, 0), (0, 1), (1, 0), (3, 4)], params) == (
+        subgroup_from_lift_rows([(1, 0, 4, 0), (0, 1, 2, 1)], params))
+
+
+def test_columns_refused_without_product_relation_or_units():
+    params = GroupParams(p=3, n=3, d=1)
+    with pytest.raises(InconsistencyError, match="product relation"):
+        subgroup_from_columns([(1, 0), (0, 1), (1, 1), (0, 0)], params)
+    with pytest.raises(ParameterError, match="unit vectors"):
+        subgroup_from_columns([(2, 0), (0, 1), (1, 1), (0, 1)], params)
 
 
 # --- generator permutations ------------------------------------------------

@@ -86,7 +86,8 @@ def imports_gc(path):
 
 
 def test_sources_parse_as_python_3_10():
-    # pyproject.toml declares requires-python >= 3.10
+    # pyproject.toml declares requires-python >= 3.10.  This checks the
+    # grammar only, not the library APIs a source calls.
     found = []
     for path in sorted(p for d in SCANNED + ("bench",) for p in (ROOT / d).rglob("*.py")):
         try:
