@@ -2,7 +2,8 @@
 """Sweep the enumeration of freely-acting subgroups over a parameter grid.
 
 For each (d, p, n, m) cell within the subspace budget, report the number of
-candidate subspaces, the number of freely-acting subgroups, and the orbit
+candidate subspaces and the number of freely-acting subgroups, counted
+without keeping any (`count_free`); with --classify, also the orbit
 decomposition under generator permutations.  elapsed_ms is the cell's time;
 with --classify it is the total of enumerate_ms and classify_ms, the times
 of the two phases.
@@ -18,6 +19,7 @@ import time
 from genfermat.enumeration import (
     EnumerationTask,
     classify_orbits,
+    count_free,
     enumerate_all,
     gaussian_binomial,
     necessary_bounds,
@@ -59,15 +61,19 @@ def main():
             print(json.dumps(cell))
             continue
         t0 = time.perf_counter()
-        try:
-            found = enumerate_all(task)
+        try:  # only classification keeps the kernels
+            if args.classify:
+                found = enumerate_all(task)
+                count = len(found)
+            else:
+                count = count_free(task)
         except ResourceLimitError as exc:
             cell["skipped"] = f"{exc.attempted} candidates over budget"
             print(json.dumps(cell))
             continue
         elapsed_ms = round((time.perf_counter() - t0) * 1000, 1)
         cell["candidates"] = gaussian_binomial(task.n, task.n - task.m, task.p)
-        cell["count"] = len(found)
+        cell["count"] = count
         if args.classify:
             t0 = time.perf_counter()
             if found:

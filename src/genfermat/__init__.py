@@ -29,6 +29,7 @@ from .enumeration import (  # noqa: F401
     EnumerationTask,
     necessary_bounds,
     enumerate_all,
+    count_free,
     classify_orbits,
     construct_family,
     gaussian_binomial,

@@ -20,14 +20,18 @@ its columns into ints with whole-byte fields (`groups.Packed`, p <= 255)
 and gathers each lift basis from their bytes, with no elimination, each
 kernel row built once where the walk places it (`enumerate_all`).  A leaf
 node rejects its candidates with one set, built where they outnumber its
-packed adds, and yields its kernels in basis order (`_walk`), so sorting by
-basis, their canonical-key order, merges presorted runs and builds no key.
+packed adds, and yields its kernels in basis order (`_walk`).  The kernels
+stay in the walk's deterministic order, unsorted, from listing to orbits:
+canonical order is paid for only where it is read, in the reports that
+print kernels.  `count_free` runs the same walk and keeps no kernel.
 
 Classification is up to the S_{n+1} of generator permutations.
-`classify_orbits` indexes the kernels by their lift bases as tuples of
-packed rows and closes each orbit under the two standard generators on
-those rows: either costs at most one rank-one insertion, planned once per
-inserted row and cell, and no key bytes are built.  The canonical key of
+`classify_orbits` indexes the kernels, in any order, by their lift bases as
+tuples of packed rows, each distinct row packed once, and closes each orbit
+under the two standard generators on those rows: either costs at most one
+rank-one insertion, planned once per inserted row and cell, and no key
+bytes are built.  An orbit's representative is its least member by basis,
+the order of canonical keys (`groups.canonical_key`).  The canonical key of
 an orbit is its least subgroup key [I | A]; `canonical_orbit_key` finds it
 from the information sets of one member, merging search states equal up
 to a column bijection, and the closure is its test oracle.  The explicit
@@ -271,13 +275,18 @@ def iter_rref_bases(n: int, k: int, p: int):
 
 
 def _columns_free(cols, d: int, p: int) -> bool:
-    """No nonzero combination of at most d columns vanishes: fold the
-    columns through the layered spans, rejecting any already spanned."""
+    """No nonzero combination of at most d columns vanishes: no column lies
+    in L_{d-1}, the combinations of at most d-1 earlier ones.  Met in the
+    middle: the layered spans grow to b = ceil((d-1)/2) layers only, and as
+    L_{d-1} = L_a + L_b with a = d-1-b, and L_a = -L_a, a column c is
+    rejected when c + u lies in L_b for some u in L_a."""
     packed = Packed(p, len(cols[0]))
-    spans = [{0} for _ in range(d)]
+    high, bias, sh = packed.high, packed.bias, packed.w - 1
+    spans = [{0} for _ in range(d // 2 + 1)]
+    low, top = spans[(d - 1) // 2], spans[-1]
     for col in cols:
         c = packed.pack(col)
-        if c in spans[-1]:
+        if any((s := c + u) - (((s + bias) & high) >> sh) * p in top for u in low):
             return False
         packed.grow(spans, c)
     return True
@@ -295,24 +304,12 @@ def subgroup_is_free_dual(K: Subgroup, d: int) -> bool:
     return _columns_free(quotient_columns(K), d, K.params.p)
 
 
-def enumerate_all(task: EnumerationTask, prune: bool = True):
-    """All of F(d;p,n,m), sorted by lift basis, which is the order of their
-    canonical keys (`groups.canonical_key`).  Walks the (n-m)-dimensional
-    subspaces W = L ∩ {x_0 = 0} of the lifts L (walk coordinate q is lift
-    coordinate q+1) under the subspace cap, pruning every row prefix whose
-    quotient columns already fail freeness, and takes each lift basis in
-    F_p^{n+1} from the walk's leaf.  L = W + <all-ones>, so its reduced
-    echelon basis is
-    - all-ones reduced against the kernel rows: 1 at coordinate 0, 0 at
-      their pivots, and the running total = all-ones + sum c_i on the
-      non-pivot coordinates Q;
-    - the kernel rows: 1 at their pivots and -c_i on Q.
-    The walk builds each kernel row once, where it places it, and a leaf
-    only the last kernel row and the all-ones row (`_walk`).  The bases of
-    one call share one tuple per distinct row, and the list of kernels is
-    all that is kept."""
+def _cell_leaves(task: EnumerationTask, prune: bool, share):
+    """The walk over `task`'s cell under the proven bounds (when `prune`)
+    and the subspace cap: the lift basis of each free kernel, in the walk's
+    order, each row the tuple `share` keeps (`_leaves`)."""
     if prune and not necessary_bounds(task.d, task.p, task.n, task.m).possibly_nonempty:
-        return []
+        return iter(())
     n, p, m = task.n, task.p, task.m
     k = n - m
     count = gaussian_binomial(n, k, p)
@@ -321,12 +318,35 @@ def enumerate_all(task: EnumerationTask, prune: bool = True):
             f"{count} candidate subspaces exceed cap {task.cap_subspaces}",
             attempted=count,
         )
+    return _leaves(Packed.byte_fields(p, m), k, task.d, share)
+
+
+def enumerate_all(task: EnumerationTask, prune: bool = True):
+    """All of F(d;p,n,m), in the walk's deterministic order, not sorted: the
+    reports that print kernels sort them by basis.  Walks the
+    (n-m)-dimensional subspaces W = L ∩ {x_0 = 0} of the lifts L (walk
+    coordinate q is lift coordinate q+1) under the subspace cap, pruning
+    every row prefix whose quotient columns already fail freeness, and
+    takes each lift basis in F_p^{n+1} from the walk's leaf.  L = W +
+    <all-ones>, so its reduced echelon basis is
+    - all-ones reduced against the kernel rows: 1 at coordinate 0, 0 at
+      their pivots, and the running total = all-ones + sum c_i on the
+      non-pivot coordinates Q;
+    - the kernel rows: 1 at their pivots and -c_i on Q.
+    The walk builds each kernel row once, where it places it, and a leaf
+    only the last kernel row and the all-ones row (`_walk`).  The bases of
+    one call share one tuple per distinct row, and the list of kernels is
+    all that is kept."""
     params = task.params
     shared = {}  # one tuple per distinct basis row, which every basis reuses
-    packed = Packed.byte_fields(p, m)
-    found = [Subgroup(basis, params) for basis in _leaves(packed, k, task.d, shared.setdefault)]
-    found.sort(key=attrgetter("basis"))
-    return found
+    return [Subgroup(basis, params) for basis in _cell_leaves(task, prune, shared.setdefault)]
+
+
+def count_free(task: EnumerationTask, prune: bool = True) -> int:
+    """|F(d;p,n,m)|: the walk of `enumerate_all`, under the same bounds and
+    cap, with its leaves counted; no kernel is kept and no `Subgroup`
+    built, so memory does not grow with the count."""
+    return sum(1 for _ in _cell_leaves(task, prune, lambda row, _: row))
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +426,37 @@ def _orbit_closure(packed, start, plans):
     return seen
 
 
+class _RowPacker(dict):
+    """Lift rows to their ints in `packed` (`Packed.byte_fields` over
+    F_p^{n+1}), each distinct row packed once, from its bytes, on its first
+    lookup."""
+
+    __slots__ = ("step", "buf")
+
+    def __init__(self, packed):
+        self.step = packed.w // 8  # an entry is the low byte of its field
+        self.buf = bytearray(self.step * packed.m)
+
+    def pack(self, row) -> int:
+        self.buf[::self.step] = bytes(row)
+        return int.from_bytes(self.buf, "little")
+
+    def __missing__(self, row):
+        self[row] = r = self.pack(row)
+        return r
+
+
 def classify_orbits(subgroups):
     """Partition kernels of one cell (equal params) into orbits under the
-    full permutation group of the canonical generators, ordered by their
-    least member's key.  The kernels are indexed by their packed kernel rows
-    1..k, which fix row 0 (`_orbit_closure`), each distinct row packed once,
-    from its bytes; an orbit's members, the input objects, are popped from
-    the index.  Raises on mixed params, duplicates, or an orbit leaving it."""
-    cell = sorted(subgroups, key=attrgetter("basis"))  # the order of their keys
+    full permutation group of the canonical generators.  Each orbit's
+    representative is its least member by basis, the order of their keys,
+    and the orbits are ordered by representative; the input may come in any
+    order.  The kernels are indexed by their packed kernel rows 1..k, which
+    fix row 0 (`_orbit_closure`), each distinct row packed once, from its
+    bytes, on first sight; an orbit's members, the input objects, are
+    popped from the index.  Raises on mixed params, duplicates, or an orbit
+    leaving it."""
+    cell = list(subgroups)
     if not cell:
         return []
     params = cell[0].params
@@ -421,15 +464,9 @@ def classify_orbits(subgroups):
         raise ParameterError("classification takes the kernels of one cell")
     params.require_byte_entries()  # rows are packed from their bytes
     packed = Packed.byte_fields(params.p, params.n + 1)
-    step = packed.w // 8  # an entry is the low byte of its field
-    buf = bytearray(step * (params.n + 1))
-
-    def pack(row):
-        buf[::step] = bytes(row)
-        return int.from_bytes(buf, "little")
-
-    rows = {row: pack(row) for row in {row for K in cell for row in K.basis[1:]}}
-    keys = [tuple([rows[row] for row in K.basis[1:]]) for K in cell]
+    rows = _RowPacker(packed)
+    get = rows.__getitem__  # packs a row on its first lookup
+    keys = [tuple(map(get, K.basis[1:])) for K in cell]
     index = dict(zip(keys, cell))
     if len(index) != len(cell):
         raise InconsistencyError("duplicate subgroups in classification input")
@@ -438,12 +475,14 @@ def classify_orbits(subgroups):
     for K, key in zip(cell, keys):
         if key not in index:
             continue  # taken by an earlier orbit
-        closure = _orbit_closure(packed, (pack(K.basis[0]),) + key, plans)
-        members = [index.pop(basis[1:], None) for basis in closure]
-        if None in members:
+        closure = _orbit_closure(packed, (rows.pack(K.basis[0]),) + key, plans)
+        try:
+            members = tuple([index.pop(basis[1:]) for basis in closure])
+        except KeyError:
             raise InconsistencyError("orbit leaves the input set; input was not "
-                                     "closed under generator permutations")
-        orbits.append(OrbitClass(K, len(members), tuple(members)))
+                                     "closed under generator permutations") from None
+        orbits.append(OrbitClass(min(members, key=attrgetter("basis")), len(members), members))
+    orbits.sort(key=attrgetter("representative.basis"))
     return orbits
 
 
@@ -635,6 +674,7 @@ def enumeration_report(task: EnumerationTask, classify: bool = False):
             for o in orbits
         ]
     else:
-        payload["subgroups"] = [subgroup_to_json(K) for K in subgroups]
+        payload["subgroups"] = [subgroup_to_json(K)
+                                for K in sorted(subgroups, key=attrgetter("basis"))]
     payload["elapsed_ms"] = round((time.perf_counter() - t0) * 1000, 3)
     return payload

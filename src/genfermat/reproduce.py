@@ -25,6 +25,7 @@ from .enumeration import (
     canonical_orbit_key,
     classify_orbits,
     construct_family,
+    count_free,
     enumerate_all,
     gaussian_binomial,
     necessary_bounds,
@@ -105,7 +106,7 @@ def check_rank_two_quotients_empty():
             verdict = necessary_bounds(2, p, n, 2)
             if verdict.possibly_nonempty:
                 return False, f"bounds failed to rule out (p={p}, n={n}, m=2)"
-            if enumerate_all(EnumerationTask(d=2, p=p, n=n, m=2), prune=False):
+            if count_free(EnumerationTask(d=2, p=p, n=n, m=2), prune=False):
                 return False, f"unexpected freely-acting subgroup at (p={p}, n={n}, m=2)"
     # every cell with at most 50,000 candidate subspaces: a free quotient has
     # m >= d; the bounds prune every m < d cell, so those also run unpruned
@@ -117,8 +118,8 @@ def check_rank_two_quotients_empty():
                     if gaussian_binomial(n, n - m, p) > 50_000:
                         continue
                     task = EnumerationTask(d=d, p=p, n=n, m=m)
-                    found = enumerate_all(task)
-                    if m < d and (found or enumerate_all(task, prune=False)):
+                    found = count_free(task)
+                    if m < d and (found or count_free(task, prune=False)):
                         return False, f"free quotient of rank m < d at (d={d}, p={p}, n={n}, m={m})"
                     cells += 1
     if cells != 119:

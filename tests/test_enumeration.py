@@ -2,6 +2,7 @@
 families."""
 
 import gc
+import random
 import time
 import tracemalloc
 from itertools import combinations, permutations
@@ -21,6 +22,7 @@ from genfermat.enumeration import (
     canonical_orbit_key,
     classify_orbits,
     construct_family,
+    count_free,
     enumerate_all,
     enumeration_report,
     gaussian_binomial,
@@ -130,11 +132,12 @@ def _elementwise_free_keys(task):
 @example((3, 7, 4, 3))
 @example((3, 7, 5, 4))
 def test_enumerate_all_matches_elementwise_filter(cell):
+    # enumerate_all keeps the walk's order, so the same multiset is compared
     task = EnumerationTask(*cell)
     brute = _elementwise_free_keys(task)
-    assert [subgroup_canonical_key(K) for K in enumerate_all(task, prune=False)] == brute
+    assert sorted(subgroup_canonical_key(K) for K in enumerate_all(task, prune=False)) == brute
     if necessary_bounds(*cell).possibly_nonempty:
-        assert [subgroup_canonical_key(K) for K in enumerate_all(task)] == brute
+        assert sorted(subgroup_canonical_key(K) for K in enumerate_all(task)) == brute
 
 
 def test_necessary_bounds_sound_on_oracle_cells():
@@ -156,7 +159,7 @@ def _every_d_subset_independent(cols, d, p):
 def test_layered_spans_match_subset_rank(data):
     p = data.draw(st.sampled_from((2, 3, 5)))
     m = data.draw(st.integers(1, 4))
-    d = data.draw(st.integers(1, 4))
+    d = data.draw(st.integers(1, 5))
     vec = st.tuples(*[st.integers(0, p - 1)] * m)
     cols = data.draw(st.lists(vec, min_size=d, max_size=7))
     assert _columns_free(cols, d, p) == _every_d_subset_independent(cols, d, p)
@@ -246,6 +249,24 @@ def test_dual_matches_elementwise_on_sweep():
                 break
 
 
+@pytest.mark.parametrize("cell", [(5, 7, 6, 5), (5, 3, 8, 7), (4, 5, 7, 6)],
+                         ids=lambda cell: "-".join(map(str, cell)))
+def test_dual_oracle_meets_in_the_middle(cell):
+    # at d = 4 and 5 the spans grow to two layers and c is tested against
+    # L_1 + L_2 or L_2 + L_2: 300 seeded candidates and up to 300 free
+    # kernels agree with the element-wise route
+    d, p, n, m = cell
+    task = EnumerationTask(*cell)
+    rng = random.Random(1)
+    bases = rng.sample(list(iter_rref_bases(n, n - m, p)), 300)
+    free = enumerate_all(task)
+    candidates = [subgroup_from_lift_rows([row + (0,) for row in basis], task.params)
+                  for basis in bases] + rng.sample(free, min(300, len(free)))
+    verdicts = [subgroup_is_free_dual(K, d) for K in candidates]
+    assert verdicts == [acts_freely_subgroup(K, d) for K in candidates]
+    assert False in verdicts[:300] and all(verdicts[300:])
+
+
 def assert_columns_invert(K):
     """`quotient_columns` and `subgroup_from_columns` invert each other on
     K, and the map with those columns sends every lift row to 0."""
@@ -268,8 +289,8 @@ def test_enumerate_all_lifts_match_elimination():
     # the lift built along the walk is the basis a full elimination gives;
     # (2,5,5,2) has rows built above the leaf at p > 3 (k = 3, 20,306
     # candidates); (5,3,8,7) and (5,7,6,5) test the leaf at d = 5 (120 of
-    # 19,608 free at p = 7), filtered element-wise, as the layered spans of
-    # the dual oracle grow to all of F_p^m there (about 5 ms a candidate)
+    # 19,608 free at p = 7), filtered element-wise; enumerate_all keeps the
+    # walk's order, so the sorted bases are compared
     cells = [(cell, subgroup_is_free_dual)
              for cell in SWEEP + WIDE_CELLS + EDGE_CELLS + [(2, 7, 4, 3), (2, 5, 5, 2)]]
     cells += [(cell, acts_freely_subgroup) for cell in [(5, 3, 8, 7), (5, 7, 6, 5)]]
@@ -281,7 +302,21 @@ def test_enumerate_all_lifts_match_elimination():
             (K for K in candidates if is_free(K, d)), key=subgroup_canonical_key
         )
         found = enumerate_all(task, prune=False)
-        assert [K.basis for K in found] == [K.basis for K in eliminated], (d, p, n, m)
+        assert sorted(K.basis for K in found) == [K.basis for K in eliminated], (d, p, n, m)
+
+
+# The cells of the orbits-d2 benchmark workload.
+ORBIT_CELLS = [(2, 2, 7, 4), (2, 2, 7, 5), (2, 3, 6, 4), (2, 5, 5, 3), (2, 5, 6, 5)]
+
+
+def test_count_free_matches_enumerate_all():
+    for cell in SWEEP + ORBIT_CELLS:
+        task = EnumerationTask(*cell)
+        for prune in (True, False):
+            assert count_free(task, prune) == len(enumerate_all(task, prune)), (cell, prune)
+    with pytest.raises(ResourceLimitError):
+        count_free(EnumerationTask(d=2, p=2, n=6, m=3, cap_subspaces=100), prune=False)
+    assert count_free(EnumerationTask(2, 2, 7, 3)) == 0  # pruned by the rank bound
 
 
 def test_trivial_kernel_cells():
@@ -308,9 +343,9 @@ def test_kernels_share_row_tuples():
 
 def test_leaf_nodes_yield_ascending_bases():
     # a leaf node (one tail of kernel rows and one pivot of the last kernel
-    # row placed) runs over its final totals in order, so its bases ascend
-    # and the sort in enumerate_all merges runs; the order of the columns c
-    # would not ascend
+    # row placed) runs over its final totals in order, so its bases ascend,
+    # and the walk's order, which enumerate_all keeps, is a few ascending
+    # runs; the order of the columns c would not ascend
     for d, p, n, m in [(3, 5, 6, 5), (2, 5, 5, 3), (3, 3, 7, 6)]:
         bases = list(enumeration._leaves(Packed.byte_fields(p, m), n - m, d, {}.setdefault))
         within = 0
@@ -538,6 +573,23 @@ def test_classification_single_orbit():
     assert canonical_orbit_key(orbits[0].representative) == rep_key
 
 
+def test_classification_ignores_input_order():
+    # representatives, sizes and their order do not depend on the input's
+    # order: each representative is its orbit's least member by basis
+    found = enumerate_all(EnumerationTask(2, 5, 5, 3))
+    shuffled = list(found)
+    random.Random(31).shuffle(shuffled)
+    a = classify_orbits(found)
+    b = classify_orbits(shuffled)
+    c = classify_orbits(sorted(found, key=lambda K: K.basis))
+    assert [(o.representative, o.orbit_size) for o in a] == [
+        (o.representative, o.orbit_size) for o in b] == [
+        (o.representative, o.orbit_size) for o in c]
+    assert [o.representative.basis for o in a] == sorted(o.representative.basis for o in a)
+    for o in b:
+        assert o.representative.basis == min(K.basis for K in o.subgroups)
+
+
 def test_classification_deterministic():
     task = EnumerationTask(d=2, p=2, n=6, m=3)
     found = enumerate_all(task)
@@ -605,6 +657,14 @@ def test_even_m_matches_closed_form_n():
     K = construct_family("odd_m", m=5)
     assert K.params.n == 15
     assert len(K.basis) - 1 == 15 - 5
+
+
+def test_enumeration_report_lists_subgroups_in_basis_order():
+    # enumerate_all keeps the walk's order; the report sorts what it prints
+    task = EnumerationTask(2, 5, 5, 3)
+    bases = [tuple(map(tuple, K["basis"])) for K in enumeration_report(task)["subgroups"]]
+    walk = [K.basis for K in enumerate_all(task)]
+    assert bases == sorted(walk) != walk
 
 
 def test_enumeration_report_shape():
