@@ -18,12 +18,12 @@ every combination of at most r of them); a column in L_{d-1} is rejected
 together with every completion of its row prefix.  The walk packs
 its columns into ints with whole-byte fields (`groups.Packed`, p <= 255)
 and gathers each lift basis from their bytes, with no elimination, each
-kernel row built once where the walk places it (`enumerate_all`).  A leaf
-node rejects its candidates with one set, built where they outnumber its
-packed adds, and yields its kernels in basis order (`_walk`).  The kernels
-stay in the walk's deterministic order, unsorted, from listing to orbits:
-canonical order is paid for only where it is read, in the reports that
-print kernels.  `count_free` runs the same walk and keeps no kernel.
+kernel row built once where the walk places it (`enumerate_all`), and each
+row of a leaf node once per node.  A leaf node rejects its candidates with
+one set, built where they outnumber its packed adds, and yields its
+kernels in basis order (`_walk`).  The kernels stay in the walk's
+deterministic order, unsorted, from listing to orbits: canonical order is
+paid for only where it is read, in the reports that print kernels.  `count_free` runs the same walk and keeps no kernel.
 
 Classification is up to the S_{n+1} of generator permutations.
 `classify_orbits` indexes the kernels, in any order, by their lift bases as
@@ -139,6 +139,26 @@ def _row_getter(packed, n: int, P: int, t: int, pivots):
     return itemgetter(*at)
 
 
+def _bytes_reader(get, nbytes):
+    """The row that `get` (`_row_getter`) reads off the bytes of an int."""
+    return lambda b: get(b.to_bytes(nbytes, "little"))
+
+
+class _LeafRows(dict):
+    """A leaf node's rows by the int whose bytes they are read off, each
+    read on its first lookup and kept as the tuple `share` keeps: a node
+    below kernel rows serves every tail of them, so its rows recur."""
+
+    __slots__ = ("read", "share")
+
+    def __init__(self, read, share):
+        self.read, self.share = read, share
+
+    def __missing__(self, b):
+        self[b] = row = self.share(r := self.read(b), r)
+        return row
+
+
 def _walk(row, hi, packed, vecs, spans, total, tail, node, above, share):
     """Place basis rows row, row-1, ..., 0 below the rows in `tail`,
     yielding the lift basis in F_p^{n+1} each time row 0 is placed.  Row i
@@ -154,7 +174,9 @@ def _walk(row, hi, packed, vecs, spans, total, tail, node, above, share):
     coordinate 0, zero at every pivot and the final running total
     (all-ones plus every column) on Q.  Rows are read off the bytes of
     packed vectors by the getters of `node`, one per s, built on first use
-    for the s-prefix placed so far.
+    for the s-prefix placed so far.  A leaf node below kernel rows serves
+    every tail of them, so it reads each of its rows once and keeps it by
+    the int it is read off (`_LeafRows`); at k = 1 no row recurs.
 
     A leaf node (row 0 at one s) runs over x = total + c.  Its dependent
     column -x is in the top span once c joins iff x is in spans[-1] or
@@ -189,7 +211,12 @@ def _walk(row, hi, packed, vecs, spans, total, tail, node, above, share):
             if row:
                 entry = node[s] = (get, {}, above + (s + row,))
             else:
-                entry = node[s] = (get, _row_getter(packed, n, -1, 0, above + (s,)))
+                read = _bytes_reader(get, nbytes)
+                read_top = _bytes_reader(_row_getter(packed, n, -1, 0, above + (s,)), nbytes)
+                if above:  # else k = 1, and no row recurs: row 0 is all-ones minus row 1
+                    read = _LeafRows(read, share).__getitem__
+                    read_top = _LeafRows(read_top, share).__getitem__
+                entry = node[s] = (read, read_top)
         cols = islice(vecs, p ** (packed.m - s))
         if row:
             get, below, pivots = entry
@@ -203,7 +230,7 @@ def _walk(row, hi, packed, vecs, spans, total, tail, node, above, share):
                                  (share(r, r),) + tail, below, pivots, share)
                 packed.shrink(spans, added)
             continue
-        get, get_top = entry
+        read, read_top = entry
         if s:  # x = head + y has total's fields below s
             head = total & ((1 << packed.w * s) - 1)
             cols = [head + y for y in cols]
@@ -212,9 +239,7 @@ def _walk(row, hi, packed, vecs, spans, total, tail, node, above, share):
                 if x in rejects:
                     continue
                 r = neg - x
-                r = get((r - (((r + bias) & high) >> sh) * p).to_bytes(nbytes, "little"))
-                t = get_top((x + one).to_bytes(nbytes, "little"))
-                yield (share(t, t), share(r, r)) + tail
+                yield (read_top(x + one), read(r - (((r + bias) & high) >> sh) * p)) + tail
             continue
         bare = neg - one  # bare - x is -c, with no marker bytes
         for x in cols:
@@ -231,15 +256,14 @@ def _walk(row, hi, packed, vecs, spans, total, tail, node, above, share):
                 if z in lower:
                     break
             else:
-                r = get((r + one).to_bytes(nbytes, "little"))
-                t = get_top((x + one).to_bytes(nbytes, "little"))
-                yield (share(t, t), share(r, r)) + tail
+                yield (read_top(x + one), read(r + one)) + tail
 
 
 def _leaves(packed, k, d, share):
     """The walk over k basis rows with d-free quotient columns in `packed`'s
     F_p^m: yield the lift basis of each leaf's kernel, each row the tuple
-    `share` keeps.  With pivots P and non-pivot positions Q = (Q_1..Q_m),
+    `share` keeps, or at k <= 1, where no row recurs, the tuple as read.
+    With pivots P and non-pivot positions Q = (Q_1..Q_m),
     the quotient column at Q_t is the unit vector e_t, the column at pivot
     P_i is minus row i restricted to Q, and the dependent column c_0 (the
     lift's coordinate 0, outside the walk) is minus their sum, so each row
@@ -307,7 +331,7 @@ def subgroup_is_free_dual(K: Subgroup, d: int) -> bool:
 def _cell_leaves(task: EnumerationTask, prune: bool, share):
     """The walk over `task`'s cell under the proven bounds (when `prune`)
     and the subspace cap: the lift basis of each free kernel, in the walk's
-    order, each row the tuple `share` keeps (`_leaves`)."""
+    order, its recurring rows the tuples `share` keeps (`_leaves`)."""
     if prune and not necessary_bounds(task.d, task.p, task.n, task.m).possibly_nonempty:
         return iter(())
     n, p, m = task.n, task.p, task.m

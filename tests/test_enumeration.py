@@ -339,6 +339,10 @@ def test_kernels_share_row_tuples():
     found = enumerate_all(EnumerationTask(2, 5, 5, 3))
     rows = [row for K in found for row in K.basis]
     assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
+    # at k = 1 no row recurs (row 0 is all-ones minus row 1), so none is shared
+    for cell in [(3, 5, 6, 5), (2, 5, 6, 5)]:
+        rows = [row for K in enumerate_all(EnumerationTask(*cell)) for row in K.basis]
+        assert len(set(rows)) == len(rows), cell
 
 
 def test_leaf_nodes_yield_ascending_bases():
