@@ -23,7 +23,8 @@ row of a leaf node once per node.  A leaf node rejects its candidates with
 one set, built where they outnumber its packed adds, and yields its
 kernels in basis order (`_walk`).  The kernels stay in the walk's
 deterministic order, unsorted, from listing to orbits: canonical order is
-paid for only where it is read, in the reports that print kernels.  `count_free` runs the same walk and keeps no kernel.
+paid for only where it is read, in the reports that print kernels.
+`count_free` runs the same walk and keeps no kernel.
 
 Classification is up to the S_{n+1} of generator permutations.
 `classify_orbits` indexes the kernels, in any order, by their lift bases as
@@ -263,11 +264,11 @@ def _leaves(packed, k, d, share):
     """The walk over k basis rows with d-free quotient columns in `packed`'s
     F_p^m: yield the lift basis of each leaf's kernel, each row the tuple
     `share` keeps, or at k <= 1, where no row recurs, the tuple as read.
-    With pivots P and non-pivot positions Q = (Q_1..Q_m),
-    the quotient column at Q_t is the unit vector e_t, the column at pivot
-    P_i is minus row i restricted to Q, and the dependent column c_0 (the
-    lift's coordinate 0, outside the walk) is minus their sum, so each row
-    fixes one column and the walk never eliminates.  At k = 0 the columns
+    With pivots P and non-pivot positions Q = (Q_1..Q_m), the quotient
+    column at Q_t is the unit vector e_t, the column at pivot P_i is minus
+    row i restricted to Q, and the dependent column c_0 (the lift's
+    coordinate 0, outside the walk) is minus their sum, so each row fixes
+    one column and the walk never eliminates.  At k = 0 the columns
     are the m = n >= d+1 unit vectors and -all-ones, whose only vanishing
     combination takes all m+1 > d of them, so the one kernel is trivial and
     free, and its lift is all-ones."""
