@@ -370,10 +370,10 @@ def test_kernel_storage_bytes():
     assert len(found) == 6055
     # slotted subgroups on shared rows: about 129 B each, 451 B unshared
     assert held / len(found) < 150
-    # nothing but the kernels grows with the walk: the peak is about 1.16x
+    # nothing but the kernels grows with the walk: the peak is about 1.09x
     assert peak <= 1.4 * held
     # nor with the number of distinct running totals, which nears the number
-    # of kernels at p = 7: the peak is about 1.32x
+    # of kernels at p = 7: the peak is about 1.15x
     tracemalloc.start()
     try:
         found = enumerate_all(EnumerationTask(2, 7, 5, 4))
