@@ -7,7 +7,7 @@ the surface class: rational where r1 < 0 and K3 where r1 = 0 (`golden`).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial, prod
 
 from .errors import InconsistencyError, ParameterError, ResourceLimitError
@@ -49,25 +49,23 @@ def h0_twist(d: int, p: int, n: int, r: int) -> int:
 
 
 def h0_oracle(d: int, p: int, n: int, r: int) -> int:
-    """Independent count by direct monomial enumeration: monomials of total
-    degree r in n+1 variables whose last n-d exponents are at most p-1.
-    No binomial formulas.  r may be at most ORACLE_DEGREE_CAP."""
+    """Independent count of the monomials of total degree r in n+1
+    variables whose last n-d exponents are at most p-1, tabulated variable
+    by variable: counts[s] is the number of monomials of degree s in the
+    variables taken so far.  A free variable turns counts into its prefix
+    sums, and a bounded one into their windows of width p.  No binomial
+    formulas.  r may be at most ORACLE_DEGREE_CAP."""
     if r < 0:
         return 0
     if r > ORACLE_DEGREE_CAP:
         raise ResourceLimitError(f"oracle degree {r} exceeds cap {ORACLE_DEGREE_CAP}", attempted=r)
-    bounds = [None] * (d + 1) + [p - 1] * (n - d)
-
-    @lru_cache(maxsize=None)
-    def count(i: int, rem: int) -> int:
-        if i == len(bounds):
-            return 1 if rem == 0 else 0
-        hi = rem if bounds[i] is None else min(bounds[i], rem)
-        return sum(count(i + 1, rem - v) for v in range(hi + 1))
-
-    result = count(0, r)
-    count.cache_clear()
-    return result
+    counts = [1] + [0] * r
+    for _ in range(d + 1):
+        counts = list(accumulate(counts))
+    for _ in range(n - d):
+        sums = list(accumulate(counts))
+        counts = sums[:p] + [sums[s] - sums[s - p] for s in range(p, r + 1)]
+    return counts[r]
 
 
 def h_i(d: int, p: int, n: int, i: int, r: int) -> int:

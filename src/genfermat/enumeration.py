@@ -20,8 +20,10 @@ its columns into ints with whole-byte fields (`groups.Packed`, p <= 255)
 and gathers each lift basis from their bytes, with no elimination, each
 kernel row built once where the walk places it (`enumerate_all`), and each
 row of a leaf node once per node.  A leaf node rejects its candidates with
-one set, built where they outnumber its packed adds, and yields its
-kernels in basis order (`_walk`).  The kernels stay in the walk's
+one set, built where they outnumber its packed adds, and then builds its
+kernels, in basis order, in one list comprehension, with no Python frame
+per kernel (`_walk`); `groups.subgroups_of_bases` wraps them with none
+either (`enumerate_all`).  The kernels stay in the walk's
 deterministic order, unsorted, from listing to orbits: canonical order is
 paid for only where it is read, in the reports that print kernels.
 `count_free` runs the same walk and keeps no kernel.
@@ -50,7 +52,7 @@ from .errors import InconsistencyError, ParameterError, ResourceLimitError
 from .fixed_points import free_rank_bound
 from .groups import (
     GroupParams, Packed, Subgroup, canonical_key, quotient_columns, subgroup_canonical_key,
-    subgroup_from_columns, subgroup_to_json,
+    subgroup_from_columns, subgroup_to_json, subgroups_of_bases,
 )
 
 
@@ -177,7 +179,8 @@ def _walk(row, hi, packed, vecs, spans, total, tail, node, above, share):
     packed vectors by the getters of `node`, one per s, built on first use
     for the s-prefix placed so far.  A leaf node below kernel rows serves
     every tail of them, so it reads each of its rows once and keeps it by
-    the int it is read off (`_LeafRows`); at k = 1 no row recurs.
+    the int it is read off (`_LeafRows`); at k = 1 no row recurs, and the
+    getters read each row straight off the bytes.
 
     A leaf node (row 0 at one s) runs over x = total + c.  Its dependent
     column -x is in the top span once c joins iff x is in spans[-1] or
@@ -186,9 +189,11 @@ def _walk(row, hi, packed, vecs, spans, total, tail, node, above, share):
     F_p^*, so x is rejected iff it lies in R = top, top + total (c in top)
     or lower + a*total, a = 1 - 1/b = 2..p-1.  R is built when node s = 0's
     p^m candidates outnumber its 2|top| + (p-2)|lower| packed adds, and
-    serves every node; else each candidate is probed term by term.  x runs
-    as head + y (total below field s, no carry) for y over the vectors on
-    s..m-1 in lexicographic order, so a node yields its bases ascending."""
+    serves every node, and each node builds the bases of its survivors in
+    one list comprehension, at most p^m of them, and yields from it; else
+    each candidate is probed term by term.  x runs as head + y (total below
+    field s, no carry) for y over the vectors on s..m-1 in lexicographic
+    order, so a node yields its bases ascending."""
     p, high, bias, sh = packed.p, packed.high, packed.bias, packed.w - 1
     nbytes = packed.w // 8 * packed.m + 2
     one = 1 << (8 * nbytes - 8)  # the bytes 0 and 1 after the fields
@@ -212,12 +217,13 @@ def _walk(row, hi, packed, vecs, spans, total, tail, node, above, share):
             if row:
                 entry = node[s] = (get, {}, above + (s + row,))
             else:
-                read = _bytes_reader(get, nbytes)
-                read_top = _bytes_reader(_row_getter(packed, n, -1, 0, above + (s,)), nbytes)
+                get_top = _row_getter(packed, n, -1, 0, above + (s,))
+                read, read_top = _bytes_reader(get, nbytes), _bytes_reader(get_top, nbytes)
                 if above:  # else k = 1, and no row recurs: row 0 is all-ones minus row 1
                     read = _LeafRows(read, share).__getitem__
                     read_top = _LeafRows(read_top, share).__getitem__
-                entry = node[s] = (read, read_top)
+                    get = None  # rows are read through `read` and `read_top`
+                entry = node[s] = (get, get_top, read, read_top)
         cols = islice(vecs, p ** (packed.m - s))
         if row:
             get, below, pivots = entry
@@ -231,16 +237,19 @@ def _walk(row, hi, packed, vecs, spans, total, tail, node, above, share):
                                  (share(r, r),) + tail, below, pivots, share)
                 packed.shrink(spans, added)
             continue
-        read, read_top = entry
+        get, get_top, read, read_top = entry
         if s:  # x = head + y has total's fields below s
             head = total & ((1 << packed.w * s) - 1)
             cols = [head + y for y in cols]
         if rejects is not None:
-            for x in cols:
-                if x in rejects:
-                    continue
-                r = neg - x
-                yield (read_top(x + one), read(r - (((r + bias) & high) >> sh) * p)) + tail
+            if get is None:
+                yield from [(read_top(x + one),
+                             read((r := neg - x) - (((r + bias) & high) >> sh) * p)) + tail
+                            for x in cols if x not in rejects]
+            else:  # k = 1: the tail is empty
+                yield from [(get_top((x + one).to_bytes(nbytes, "little")),
+                             get(((r := neg - x) - (((r + bias) & high) >> sh) * p)
+                                 .to_bytes(nbytes, "little"))) for x in cols if x not in rejects]
             continue
         bare = neg - one  # bare - x is -c, with no marker bytes
         for x in cols:
@@ -262,7 +271,8 @@ def _walk(row, hi, packed, vecs, spans, total, tail, node, above, share):
 
 def _leaves(packed, k, d, share):
     """The walk over k basis rows with d-free quotient columns in `packed`'s
-    F_p^m: yield the lift basis of each leaf's kernel, each row the tuple
+    F_p^m, the iterator `_walk` itself, with no generator frame of its own
+    around it: the lift basis of each leaf's kernel, each row the tuple
     `share` keeps, or at k <= 1, where no row recurs, the tuple as read.
     With pivots P and non-pivot positions Q = (Q_1..Q_m), the quotient
     column at Q_t is the unit vector e_t, the column at pivot P_i is minus
@@ -273,13 +283,11 @@ def _leaves(packed, k, d, share):
     combination takes all m+1 > d of them, so the one kernel is trivial and
     free, and its lift is all-ones."""
     if k == 0:
-        yield ((1,) * (packed.m + 1),)
-        return
+        return iter([((1,) * (packed.m + 1),)])
     spans = [{0} for _ in range(d)]
     for t in range(packed.m):
         packed.grow(spans, 1 << (packed.w * t))
-    yield from _walk(k - 1, packed.m, packed, packed.vectors(), spans, packed.ones, (), {}, (),
-                     share)
+    return _walk(k - 1, packed.m, packed, packed.vectors(), spans, packed.ones, (), {}, (), share)
 
 
 def iter_rref_bases(n: int, k: int, p: int):
@@ -361,10 +369,10 @@ def enumerate_all(task: EnumerationTask, prune: bool = True):
     The walk builds each kernel row once, where it places it, and a leaf
     only the last kernel row and the all-ones row (`_walk`).  The bases of
     one call share one tuple per distinct row, and the list of kernels is
-    all that is kept."""
-    params = task.params
+    all that is kept; each kernel is built through its slots
+    (`groups.subgroups_of_bases`)."""
     shared = {}  # one tuple per distinct basis row, which every basis reuses
-    return [Subgroup(basis, params) for basis in _cell_leaves(task, prune, shared.setdefault)]
+    return subgroups_of_bases(_cell_leaves(task, prune, shared.setdefault), task.params)
 
 
 def count_free(task: EnumerationTask, prune: bool = True) -> int:

@@ -256,6 +256,22 @@ class Subgroup:
     params: GroupParams
 
 
+def subgroups_of_bases(bases, params: GroupParams) -> list:
+    """A Subgroup per RREF lift basis in `bases`, in order, each basis kept
+    as it is.  Frozen and slotted, a Subgroup holds exactly its two slots,
+    so setting them through their slot descriptors builds the same value as
+    the generated `__init__`, without a Python frame per subgroup."""
+    new, set_basis, set_params = object.__new__, Subgroup.basis.__set__, Subgroup.params.__set__
+    out = []
+    append = out.append
+    for basis in bases:
+        K = new(Subgroup)
+        set_basis(K, basis)
+        set_params(K, params)
+        append(K)
+    return out
+
+
 def subgroup_from_generators(gens, params: GroupParams) -> Subgroup:
     rows = []
     for g in gens:

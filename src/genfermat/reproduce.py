@@ -108,24 +108,27 @@ def check_rank_two_quotients_empty():
                 return False, f"bounds failed to rule out (p={p}, n={n}, m=2)"
             if count_free(EnumerationTask(d=2, p=p, n=n, m=2), prune=False):
                 return False, f"unexpected freely-acting subgroup at (p={p}, n={n}, m=2)"
-    # every cell with at most 50,000 candidate subspaces: a free quotient has
-    # m >= d; the bounds prune every m < d cell, so those also run unpruned
-    cells = 0
+    # the sweep grid: every cell with at most 50,000 candidate subspaces.  A
+    # free quotient has m >= d; the bounds prune every m < d cell, so those
+    # are walked pruned and unpruned, and the m >= d cells are only counted
+    cells = walked = 0
     for d in (2, 3):
         for p in (2, 3, 5):
             for n in range(d + 1, 8):
                 for m in range(1, n + 1):
                     if gaussian_binomial(n, n - m, p) > 50_000:
                         continue
-                    task = EnumerationTask(d=d, p=p, n=n, m=m)
-                    found = count_free(task)
-                    if m < d and (found or count_free(task, prune=False)):
-                        return False, f"free quotient of rank m < d at (d={d}, p={p}, n={n}, m={m})"
                     cells += 1
+                    if m >= d:
+                        continue
+                    task = EnumerationTask(d=d, p=p, n=n, m=m)
+                    if count_free(task) or count_free(task, prune=False):
+                        return False, f"free quotient of rank m < d at (d={d}, p={p}, n={n}, m={m})"
+                    walked += 1
     if cells != 119:
-        return False, f"m >= d sweep covered {cells} cells, want 119"
+        return False, f"sweep grid has {cells} cells, want 119"
     return True, (f"no rank-2 quotients for p in {{2,3}}, 3 <= n <= 8; "
-                  f"m >= d on all {cells} sweep cells")
+                  f"none of rank m < d on the {walked} such cells of the {cells}-cell sweep grid")
 
 
 def check_small_n_no_free_elements():
