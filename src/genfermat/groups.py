@@ -250,7 +250,9 @@ class Subgroup:
     """A subgroup K of H, stored as the unique RREF basis of its lift to
     F_p^{n+1}.  The lift always contains the all-ones vector, so
     rank(basis) = dim(K) + 1.  Slotted, as `enumerate_all` keeps every
-    kernel of a cell, and subgroups may share row tuples."""
+    kernel of a cell, and subgroups may share row tuples.  Frozen, with no
+    `__post_init__`: a Subgroup is exactly its two slots, so
+    `subgroups_of_bases` may set them through their descriptors."""
 
     basis: tuple  # tuple of tuples, RREF rows over F_p of length n+1
     params: GroupParams
@@ -258,9 +260,8 @@ class Subgroup:
 
 def subgroups_of_bases(bases, params: GroupParams) -> list:
     """A Subgroup per RREF lift basis in `bases`, in order, each basis kept
-    as it is.  Frozen and slotted, a Subgroup holds exactly its two slots,
-    so setting them through their slot descriptors builds the same value as
-    the generated `__init__`, without a Python frame per subgroup."""
+    as it is: the value the generated `__init__` builds, with its two slots
+    set through their descriptors, and no Python frame per subgroup."""
     new, set_basis, set_params = object.__new__, Subgroup.basis.__set__, Subgroup.params.__set__
     out = []
     append = out.append

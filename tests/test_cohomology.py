@@ -7,6 +7,7 @@ from math import comb
 
 from genfermat import cohomology, reproduce
 from genfermat.cohomology import (
+    ORACLE_DEGREE_CAP,
     CohomologyProfile,
     canonical_twist,
     euler_characteristic,
@@ -55,9 +56,21 @@ def test_h0_monotone(r, s):
         assert h0_twist(2, 3, 5, r) <= h0_twist(2, 3, 5, s)
 
 
+def test_oracle_matches_closed_form_on_grid():
+    # exhaustive: d 1..4, p 2..7, n d+1..8 and every r from -2 to the cap
+    for d in range(1, 5):
+        for p in range(2, 8):
+            for n in range(d + 1, 9):
+                for r in range(-2, ORACLE_DEGREE_CAP + 1):
+                    assert h0_oracle(d, p, n, r) == h0_twist(d, p, n, r), (d, p, n, r)
+
+
 def test_oracle_cap():
-    with pytest.raises(ResourceLimitError):
-        h0_oracle(2, 3, 5, 100)
+    assert h0_oracle(2, 3, 5, ORACLE_DEGREE_CAP) == h0_twist(2, 3, 5, ORACLE_DEGREE_CAP)
+    for r in (ORACLE_DEGREE_CAP + 1, 100):
+        with pytest.raises(ResourceLimitError, match=f"oracle degree {r} exceeds cap") as exc:
+            h0_oracle(2, 3, 5, r)
+        assert exc.value.attempted == r
 
 
 def test_duality_and_vanishing():

@@ -5,6 +5,7 @@ import gc
 import random
 import time
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -317,6 +318,25 @@ def test_count_free_matches_enumerate_all():
     with pytest.raises(ResourceLimitError):
         count_free(EnumerationTask(d=2, p=2, n=6, m=3, cap_subspaces=100), prune=False)
     assert count_free(EnumerationTask(2, 2, 7, 3)) == 0  # pruned by the rank bound
+
+
+def test_kernels_equal_constructed_subgroups():
+    # enumerate_all sets each kernel's two slots through their descriptors
+    # (groups.subgroups_of_bases), not through the generated __init__: the
+    # values, hashes and reprs are the constructor's, and the kernels stay
+    # frozen and slotted; the route holds while Subgroup checks nothing
+    assert not hasattr(Subgroup, "__post_init__")
+    for cell in SWEEP + ORBIT_CELLS + WIDE_CELLS + EDGE_CELLS + [(3, 5, 6, 5), (3, 3, 7, 6)]:
+        found = enumerate_all(EnumerationTask(*cell))
+        for K in found:
+            built = Subgroup(K.basis, K.params)
+            assert K == built and hash(K) == hash(built) and repr(K) == repr(built), cell
+        assert {type(K) for K in found} <= {Subgroup}, cell
+        assert not any(hasattr(K, "__dict__") for K in found), cell
+    with pytest.raises(FrozenInstanceError):
+        K.basis = ()
+    with pytest.raises(FrozenInstanceError):
+        K.params = None
 
 
 def test_trivial_kernel_cells():

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module, no
 package module imports another's private names or the gc module, every
 defaulted parameter in the package is set by some caller, every public
-function has a caller or is a labelled oracle, the value types kept by the
+function has a caller or is a labelled oracle (a method only through a
+receiver that may be of its class), the value types kept by the
 thousand hold no per-instance dict, every source parses as the oldest
 Python that pyproject.toml allows, and every committed benchmark record
 (BENCH_*.json at the root) holds the paired runs its summary is made of."""
@@ -252,29 +253,212 @@ def _references(tree):
     return out
 
 
+# Attribute names of the builtin types: a receiver of unknown type may be one.
+BUILTIN_ATTRS = frozenset().union(*map(dir, (
+    object, bool, int, float, complex, str, bytes, bytearray, memoryview, list, tuple, dict,
+    set, frozenset, range, slice)))
+SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _class_of(annotation, classes):
+    """The package class that an annotation names, by name or as a string."""
+    name = getattr(annotation, "id", getattr(annotation, "value", None))
+    return name if isinstance(name, str) and name in classes else None
+
+
+def package_classes():
+    """({class: (attribute names, {attribute: class of its value}, {method:
+    class of its result})}, {module-level function: class of its result})
+    for the package, read off its annotations."""
+    trees = [ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "genfermat").rglob("*.py"))]
+    names = {node.name for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)}
+    classes, functions = {}, {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions[node.name] = _class_of(node.returns, names)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            attrs, values, results = set(), {}, {}
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    attrs.add(item.name)
+                    kinds = {getattr(d, "id", None) for d in item.decorator_list}
+                    into = values if kinds & {"property", "cached_property"} else results
+                    into[item.name] = _class_of(item.returns, names)
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    attrs.add(item.target.id)
+                    values[item.target.id] = _class_of(item.annotation, names)
+                elif isinstance(item, ast.Assign):
+                    for target in item.targets:
+                        attrs.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+                        if getattr(target, "id", None) == "__slots__":
+                            attrs.update(n.value for n in ast.walk(item.value)
+                                         if isinstance(n, ast.Constant))
+            attrs.update(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                         and isinstance(n.ctx, ast.Store) and getattr(n.value, "id", None) == "self")
+            classes[node.name] = (attrs, values, results)
+    return classes, functions
+
+
+def _scope_nodes(node):
+    """The nodes of the scope `node`, not those of the scopes inside it."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, SCOPES + (ast.ClassDef,)):
+            yield from _scope_nodes(child)
+
+
+def _bindings(scope, cls, classes):
+    """{name: [binding]} of a scope, each binding ("type", t) for self, cls
+    and package classes, ("annotation", a) for an argument, ("value", e)
+    for a plain assignment, or None for any other way to bind a name.  A
+    method of package class `cls` binds its first argument to it."""
+    out = {}
+    if not isinstance(scope, ast.Module):
+        args = scope.args
+        kinds = {getattr(d, "id", None) for d in getattr(scope, "decorator_list", ())}
+        every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        for i, arg in enumerate(a for a in every if a):
+            if i == 0 and cls in classes and "staticmethod" not in kinds:
+                binding = ("type", ("class" if "classmethod" in kinds else "instance", cls))
+            else:
+                binding = ("annotation", arg.annotation)
+            out.setdefault(arg.arg, []).append(binding)
+    nodes = list(_scope_nodes(scope))
+    typed = {}
+    for node in nodes:
+        if isinstance(node, ast.Assign):
+            typed.update((id(t), ("value", node.value)) for t in node.targets)
+        elif isinstance(node, (ast.AnnAssign, ast.NamedExpr)):
+            typed[id(node.target)] = ("annotation", node.annotation) if isinstance(
+                node, ast.AnnAssign) else ("value", node.value)
+    for node in nodes:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.setdefault(node.id, []).append(typed.get(id(node)))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            known = isinstance(node, ast.ClassDef) and node.name in classes
+            out.setdefault(node.name, []).append(("type", ("class", node.name)) if known else None)
+        elif isinstance(node, ast.alias):
+            known = node.name in classes
+            out.setdefault((node.asname or node.name).split(".")[0], []).append(
+                ("type", ("class", node.name)) if known else None)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            out.setdefault(node.name, []).append(None)
+    return out
+
+
+def receiver_type(expr, chain, classes, functions, seen=()):
+    """("instance" | "class", package class) of the value of `expr`, where
+    the annotations and plain assignments of the scopes in `chain`
+    (innermost first) tell it, else None."""
+    if id(expr) in seen:
+        return None
+    seen += (id(expr),)
+
+    def of(binding, scopes):
+        if binding is None:
+            return None
+        kind, value = binding
+        if kind == "type":
+            return value
+        if kind == "annotation":
+            c = _class_of(value, classes)
+            return c and ("instance", c)
+        return receiver_type(value, scopes, classes, functions, seen)
+
+    if isinstance(expr, ast.Name):
+        for i, scope in enumerate(chain):
+            if expr.id in scope:
+                types = {of(binding, chain[i:]) for binding in scope[expr.id]}
+                return types.pop() if len(types) == 1 else None
+        return ("class", expr.id) if expr.id in classes else None
+    if isinstance(expr, ast.Call):
+        f = expr.func
+        if isinstance(f, ast.Name):
+            t = receiver_type(f, chain, classes, functions, seen)
+            c = t[1] if t and t[0] == "class" else functions.get(f.id)
+        elif isinstance(f, ast.Attribute):
+            t = receiver_type(f.value, chain, classes, functions, seen)
+            c = classes[t[1]][2].get(f.attr) if t else functions.get(f.attr)
+        else:
+            c = None
+        return c and ("instance", c)
+    if isinstance(expr, ast.Attribute):
+        t = receiver_type(expr.value, chain, classes, functions, seen)
+        c = classes[t[1]][1].get(expr.attr) if t and t[0] == "instance" else None
+        return c and ("instance", c)
+    return None
+
+
+def method_references(tree, classes, functions):
+    """(attribute name, receiver type, enclosing def nodes) for every
+    ast.Attribute in the tree (`receiver_type`)."""
+    out = []
+
+    def visit(node, chain, defs, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute):
+                out.append((child.attr, receiver_type(child.value, chain, classes, functions),
+                            defs))
+            if isinstance(child, SCOPES):
+                visit(child, (_bindings(child, cls, classes),) + chain, defs + (child,), None)
+            else:
+                visit(child, chain, defs, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    visit(tree, (_bindings(tree, None, classes),), (), None)
+    return out
+
+
+def reaches_method(cls, name, receiver, classes):
+    """Whether a reference to attribute `name` on a receiver of type
+    `receiver` can reach method `name` of package class `cls`: a receiver
+    of known type must be that class or an instance of it, and one of
+    unknown type counts only when no builtin type and no other package
+    class has an attribute of that name."""
+    if receiver is not None:
+        return receiver[1] == cls
+    return name not in BUILTIN_ATTRS and not any(
+        name in attrs for other, (attrs, _, _) in classes.items() if other != cls)
+
+
 def public_functions_without_callers():
     """{qualified name: def node} of the package's module-level public
     functions and non-dunder public methods that no file under CALLERS but
-    __init__.py refers to, outside the function's own definition."""
-    defined = []  # (qualified name, call name, def node)
+    __init__.py refers to, outside the function's own definition.  A
+    function is reached by its bare name; a method only by an attribute
+    reference whose receiver may be of its class (`reaches_method`)."""
+    classes, functions = package_classes()
+    defined = []  # (qualified name, call name, def node, class of a method or None)
     for path in sorted((ROOT / "src" / "genfermat").rglob("*.py")):
         tree = ast.parse(path.read_text())
-        classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+        own = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
         for qual, _, fn, _ in _functions(tree):
             parts = qual.split(".")
             if fn.name.startswith("_") or not (
-                    len(parts) == 1 or len(parts) == 2 and parts[0] in classes):
+                    len(parts) == 1 or len(parts) == 2 and parts[0] in own):
                 continue
-            defined.append((qual, fn.name, fn))
+            defined.append((qual, fn.name, fn, parts[0] if len(parts) == 2 else None))
     refs = {}  # name -> [enclosing def nodes of each reference]
+    attrs = {}  # attribute name -> [(receiver type, enclosing def nodes)]
     for top in CALLERS:
         for path in sorted((ROOT / top).rglob("*.py")):
             if path.name == "__init__.py":
                 continue
-            for name, defs in _references(ast.parse(path.read_text())):
+            tree = ast.parse(path.read_text())
+            for name, defs in _references(tree):
                 refs.setdefault(name, []).append(defs)
-    return {qual: fn for qual, name, fn in defined
-            if all(fn in defs for defs in refs.get(name, ()))}
+            for name, receiver, defs in method_references(tree, classes, functions):
+                attrs.setdefault(name, []).append((receiver, defs))
+
+    def reached(name, fn, cls):
+        if cls is None:
+            return any(fn not in defs for defs in refs.get(name, ()))
+        return any(fn not in defs and reaches_method(cls, name, receiver, classes)
+                   for receiver, defs in attrs.get(name, ()))
+
+    return {qual: fn for qual, name, fn, cls in defined if not reached(name, fn, cls)}
 
 
 def test_every_public_function_has_a_caller():
@@ -288,6 +472,27 @@ def test_every_public_function_has_a_caller():
              for _, _, fn, _ in _functions(ast.parse(path.read_text()))}
     assert {name: reason.split()[0] for name, reason in ORACLES.items()
             if reason.split()[0] not in tests} == {}
+
+
+def test_method_callers_are_qualified_by_class():
+    # set.add does not reach Packed.add: a method is reached only through a
+    # receiver that may be of its class
+    classes, functions = package_classes()
+    tree = ast.parse("from genfermat.groups import Packed\n"
+                     "def f(seen, packed: Packed, other):\n"
+                     "    seen.add(1)\n"
+                     "    packed.add(1, 2)\n"
+                     "    Packed.byte_fields(3, 2).add(1, 2)\n"
+                     "    other.multiples(1)\n"
+                     "    other.to_json()\n")
+    refs = [(name, receiver) for name, receiver, _ in method_references(tree, classes, functions)
+            if name in ("add", "multiples", "to_json")]
+    assert refs == [("add", None), ("add", ("instance", "Packed")),
+                    ("add", ("instance", "Packed")), ("multiples", None), ("to_json", None)]
+    assert [reaches_method("Packed", name, receiver, classes)
+            for name, receiver in refs[:4]] == [False, True, True, True]
+    # two package classes define to_json, so an unknown receiver reaches neither
+    assert not reaches_method("CohomologyProfile", "to_json", None, classes)
 
 
 def test_value_types_use_slots():
