@@ -41,8 +41,6 @@ def h0_twist(d: int, p: int, n: int, r: int) -> int:
     """dim H^0 of the r-th twisting sheaf on the degree-p model."""
     if r < 0:
         return 0
-    if r < p:
-        return comb(r + n, n)
     top = min(r, (n - d) * (p - 1))
     counts = _bounded_sum_counts(n - d, p - 1, top)
     return sum(c * comb(r - s + d, d) for s, c in enumerate(counts) if c)

@@ -25,8 +25,11 @@ kernels, in basis order, in one list comprehension, with no Python frame
 per kernel (`_walk`); `groups.subgroups_of_bases` wraps them with none
 either (`enumerate_all`).  The kernels stay in the walk's
 deterministic order, unsorted, from listing to orbits: canonical order is
-paid for only where it is read, in the reports that print kernels.
-`count_free` runs the same walk and keeps no kernel.
+paid for only where it is read, in the reports that print kernels.  The
+bases of one walk share one tuple per distinct row, so a kept kernel costs
+about 130 bytes and `enumerate_all` peaks at about 1.05 to 1.15 times what
+it returns; `count_free` runs the same walk and keeps no kernel, only those
+rows and one leaf node's at most p^m bases.
 
 Classification is up to the S_{n+1} of generator permutations.
 `classify_orbits` indexes the kernels, in any order, by their lift bases as
@@ -149,20 +152,21 @@ def _bytes_reader(get, nbytes):
 
 class _LeafRows(dict):
     """A leaf node's rows by the int whose bytes they are read off, each
-    read on its first lookup and kept as the tuple `share` keeps: a node
-    below kernel rows serves every tail of them, so its rows recur."""
+    read on its first lookup and kept as the walk's one tuple of it in
+    `shared`: a node below kernel rows serves every tail of them, so its
+    rows recur."""
 
-    __slots__ = ("read", "share")
+    __slots__ = ("read", "shared")
 
-    def __init__(self, read, share):
-        self.read, self.share = read, share
+    def __init__(self, read, shared):
+        self.read, self.shared = read, shared
 
     def __missing__(self, b):
-        self[b] = row = self.share(r := self.read(b), r)
+        self[b] = row = self.shared.setdefault(r := self.read(b), r)
         return row
 
 
-def _walk(row, hi, packed, vecs, spans, total, tail, node, above, share):
+def _walk(row, hi, packed, vecs, spans, total, tail, node, above, shared):
     """Place basis rows row, row-1, ..., 0 below the rows in `tail`,
     yielding the lift basis in F_p^{n+1} each time row 0 is placed.  Row i
     has s_i <= s_{i+1} = hi non-pivot positions before its pivot P_i = s_i
@@ -172,10 +176,10 @@ def _walk(row, hi, packed, vecs, spans, total, tail, node, above, share):
 
     Kernel row i is 1 at P_i, zero at the pivots `above` it (all right of
     P_i) and -c on the non-pivot coordinates right of P_i, so it is built
-    here, once, as the tuple `share` keeps, and passed down in `tail`.  A
-    leaf builds its own row and row 0 of the lift, all-ones reduced: 1 at
-    coordinate 0, zero at every pivot and the final running total
-    (all-ones plus every column) on Q.  Rows are read off the bytes of
+    here, once, as the walk's one tuple of it in `shared`, and passed down
+    in `tail`.  A leaf builds its own row and row 0 of the lift, all-ones
+    reduced: 1 at coordinate 0, zero at every pivot and the final running
+    total (all-ones plus every column) on Q.  Rows are read off the bytes of
     packed vectors by the getters of `node`, one per s, built on first use
     for the s-prefix placed so far.  A leaf node below kernel rows serves
     every tail of them, so it reads each of its rows once and keeps it by
@@ -205,6 +209,7 @@ def _walk(row, hi, packed, vecs, spans, total, tail, node, above, share):
             return
         neg += total  # neg - x is total - x = -c with fields in [1, 2p-1]
         rejects = None
+        # kept: R at every node made (3,3,6,4) 1.80 -> 2.10 ms and (3,2,8,5) 30% slower
         if p ** packed.m > 2 * len(top) + len(more) * len(lower):  # node s = 0 vs R's adds
             rejects = set(top)
             for a, span in zip(packed.multiples(total)[1:], [top] + [lower] * len(more)):
@@ -219,9 +224,10 @@ def _walk(row, hi, packed, vecs, spans, total, tail, node, above, share):
             else:
                 get_top = _row_getter(packed, n, -1, 0, above + (s,))
                 read, read_top = _bytes_reader(get, nbytes), _bytes_reader(get_top, nbytes)
+                # kept: a row table at k = 1 took (3,5,7,6) 45 -> 60 ms; sharing its rows, +7-10%
                 if above:  # else k = 1, and no row recurs: row 0 is all-ones minus row 1
-                    read = _LeafRows(read, share).__getitem__
-                    read_top = _LeafRows(read_top, share).__getitem__
+                    read = _LeafRows(read, shared).__getitem__
+                    read_top = _LeafRows(read_top, shared).__getitem__
                     get = None  # rows are read through `read` and `read_top`
                 entry = node[s] = (get, get_top, read, read_top)
         cols = islice(vecs, p ** (packed.m - s))
@@ -234,7 +240,7 @@ def _walk(row, hi, packed, vecs, spans, total, tail, node, above, share):
                 r = get((r - (((r + bias) & high) >> sh) * p).to_bytes(nbytes, "little"))
                 added = packed.grow(spans, c)
                 yield from _walk(row - 1, s, packed, vecs, spans, packed.add(total, c),
-                                 (share(r, r),) + tail, below, pivots, share)
+                                 (shared.setdefault(r, r),) + tail, below, pivots, shared)
                 packed.shrink(spans, added)
             continue
         get, get_top, read, read_top = entry
@@ -269,11 +275,13 @@ def _walk(row, hi, packed, vecs, spans, total, tail, node, above, share):
                 yield (read_top(x + one), read(r + one)) + tail
 
 
-def _leaves(packed, k, d, share):
+def _leaves(packed, k, d):
     """The walk over k basis rows with d-free quotient columns in `packed`'s
     F_p^m, the iterator `_walk` itself, with no generator frame of its own
-    around it: the lift basis of each leaf's kernel, each row the tuple
-    `share` keeps, or at k <= 1, where no row recurs, the tuple as read.
+    around it: the lift basis of each leaf's kernel, each row the walk's one
+    tuple of it, or at k <= 1, where no row recurs, the tuple as read.  Its
+    memory follows the distinct rows and one leaf node's at most p^m
+    kernels, not the number of kernels.
     With pivots P and non-pivot positions Q = (Q_1..Q_m), the quotient
     column at Q_t is the unit vector e_t, the column at pivot P_i is minus
     row i restricted to Q, and the dependent column c_0 (the lift's
@@ -287,7 +295,7 @@ def _leaves(packed, k, d, share):
     spans = [{0} for _ in range(d)]
     for t in range(packed.m):
         packed.grow(spans, 1 << (packed.w * t))
-    return _walk(k - 1, packed.m, packed, packed.vectors(), spans, packed.ones, (), {}, (), share)
+    return _walk(k - 1, packed.m, packed, packed.vectors(), spans, packed.ones, (), {}, (), {})
 
 
 def iter_rref_bases(n: int, k: int, p: int):
@@ -337,10 +345,10 @@ def subgroup_is_free_dual(K: Subgroup, d: int) -> bool:
     return _columns_free(quotient_columns(K), d, K.params.p)
 
 
-def _cell_leaves(task: EnumerationTask, prune: bool, share):
+def _cell_leaves(task: EnumerationTask, prune: bool):
     """The walk over `task`'s cell under the proven bounds (when `prune`)
     and the subspace cap: the lift basis of each free kernel, in the walk's
-    order, its recurring rows the tuples `share` keeps (`_leaves`)."""
+    order (`_leaves`)."""
     if prune and not necessary_bounds(task.d, task.p, task.n, task.m).possibly_nonempty:
         return iter(())
     n, p, m = task.n, task.p, task.m
@@ -351,7 +359,7 @@ def _cell_leaves(task: EnumerationTask, prune: bool, share):
             f"{count} candidate subspaces exceed cap {task.cap_subspaces}",
             attempted=count,
         )
-    return _leaves(Packed.byte_fields(p, m), k, task.d, share)
+    return _leaves(Packed.byte_fields(p, m), k, task.d)
 
 
 def enumerate_all(task: EnumerationTask, prune: bool = True):
@@ -366,20 +374,17 @@ def enumerate_all(task: EnumerationTask, prune: bool = True):
       their pivots, and the running total = all-ones + sum c_i on the
       non-pivot coordinates Q;
     - the kernel rows: 1 at their pivots and -c_i on Q.
-    The walk builds each kernel row once, where it places it, and a leaf
-    only the last kernel row and the all-ones row (`_walk`).  The bases of
-    one call share one tuple per distinct row, and the list of kernels is
-    all that is kept; each kernel is built through its slots
-    (`groups.subgroups_of_bases`)."""
-    shared = {}  # one tuple per distinct basis row, which every basis reuses
-    return subgroups_of_bases(_cell_leaves(task, prune, shared.setdefault), task.params)
+    Each row is the walk's one tuple of it (`_walk`), and each kernel is
+    built through its slots (`groups.subgroups_of_bases`)."""
+    return subgroups_of_bases(_cell_leaves(task, prune), task.params)
 
 
 def count_free(task: EnumerationTask, prune: bool = True) -> int:
     """|F(d;p,n,m)|: the walk of `enumerate_all`, under the same bounds and
     cap, with its leaves counted; no kernel is kept and no `Subgroup`
-    built, so memory does not grow with the count."""
-    return sum(1 for _ in _cell_leaves(task, prune, lambda row, _: row))
+    built, so memory follows the walk's distinct rows and one leaf node's
+    at most p^m kernels, not the count (`_leaves`)."""
+    return sum(1 for _ in _cell_leaves(task, prune))
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +529,7 @@ def _information_set_forms(K: Subgroup):
     where M is invertible), the rows of M_I^{-1} M restricted to the other
     columns, as tuples.  Rows are packed ints (`Packed`), so each pivot
     step is a table of multiples and one add per row."""
+    # kept: through rref_mod_p, the 58 orbits-d2 representatives took 9.0 -> 20.2 ms
     p, size = K.params.p, K.params.n + 1
     packed = Packed(p, size)
     w, mask = packed.w, (1 << packed.w) - 1

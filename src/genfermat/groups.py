@@ -16,7 +16,6 @@ a subgroup's basis, and `subgroup_from_columns` is its exact inverse.
 """
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import product
 
 from .errors import (
@@ -113,11 +112,7 @@ def elem_normalize(raw, params: GroupParams) -> GroupElement:
 
 def generator(j: int, params: GroupParams) -> GroupElement:
     """The canonical generator phi_j, 1-based j in {1, ..., n+1}."""
-    if not (1 <= j <= params.n + 1):
-        raise ParameterError(f"generator index {j} out of range 1..{params.n + 1}")
-    raw = [0] * (params.n + 1)
-    raw[j - 1] = 1
-    return elem_normalize(raw, params)
+    return word((j,), params)
 
 
 def word(indices, params: GroupParams) -> GroupElement:
@@ -126,7 +121,7 @@ def word(indices, params: GroupParams) -> GroupElement:
     raw = [0] * (params.n + 1)
     for j in indices:
         if not (1 <= j <= params.n + 1):
-            raise ParameterError(f"generator index {j} out of range")
+            raise ParameterError(f"generator index {j} out of range 1..{params.n + 1}")
         raw[j - 1] += 1
     return elem_normalize(raw, params)
 
@@ -148,6 +143,7 @@ class Packed:
 
     def __init__(self, p: int, m: int, w: int = None):
         self.p, self.m = p, m
+        # kept: byte fields made hilbert_basis over 65 models +25%, canonical_orbit_key +7%
         self.w = w or p.bit_length() + 1
         self.ones = sum(1 << (self.w * t) for t in range(m))
         self.high = self.ones << (self.w - 1)
@@ -334,14 +330,7 @@ def subgroup_from_columns(cols, params: GroupParams) -> Subgroup:
 def subgroup_element_basis(K: Subgroup):
     """RREF basis of the image of K in H under the m_{n+1}=0 normal form:
     rows of length n+1 with last entry 0, one per dimension of K."""
-    p = K.params.p
-    normalized = []
-    for row in K.basis:
-        c = row[-1] % p
-        nr = tuple((x - c) % p for x in row)
-        if any(nr):
-            normalized.append(nr)
-    return rref_mod_p(normalized, p)
+    return rref_mod_p([elem_normalize(row, K.params).exponents for row in K.basis], K.params.p)
 
 
 # Largest subgroup order that `subgroup_elements` lists, and so that
@@ -371,17 +360,12 @@ def subgroup_elements(K: Subgroup):
     return out
 
 
-@cache  # one head per (p, n), shared by the keys of every subgroup there
-def _key_head(p: int, n: int) -> bytes:
-    return f"{p},{n};".encode()
-
-
 def canonical_key(params: GroupParams, row_bytes) -> bytes:
     """The canonical key of the lift basis whose rows have the entries
     `row_bytes` (one byte each, rows in pivot order): "p,n;" and then the
     rows joined by "|".  All rows have n+1 bytes, so for fixed params the
     keys order like the bases' row tuples."""
-    return _key_head(params.p, params.n) + b"|".join(row_bytes)
+    return f"{params.p},{params.n};".encode() + b"|".join(row_bytes)
 
 
 def subgroup_canonical_key(K: Subgroup) -> bytes:
@@ -412,30 +396,24 @@ class GeneratorPermutation:
             raise ParameterError(f"not a permutation: {self.perm}")
 
 
-def autg_apply_element(sigma: GeneratorPermutation, x: GroupElement) -> GroupElement:
-    if len(sigma.perm) != x.params.n + 1:
-        raise DimensionError("permutation size mismatch")
-    raw = [0] * len(sigma.perm)
-    for i, e in enumerate(x.exponents):
-        raw[sigma.perm[i]] = e
-    return elem_normalize(raw, x.params)
-
-
-def autg_apply_subgroup(sigma: GeneratorPermutation, K: Subgroup) -> Subgroup:
-    if len(sigma.perm) != K.params.n + 1:
-        raise DimensionError("permutation size mismatch")
-    rows = []
-    for row in K.basis:
-        new = [0] * len(row)
-        for i, e in enumerate(row):
-            new[sigma.perm[i]] = e
-        rows.append(tuple(new))
-    return Subgroup(rref_mod_p(rows, K.params.p), K.params)
-
-
 def autg_apply(sigma: GeneratorPermutation, obj):
+    """The image of an element or a subgroup of H under sigma: entry i of
+    its exponent vector, or of each lift basis row, moves to sigma.perm[i],
+    and the result is brought back to normal or reduced echelon form."""
     if isinstance(obj, GroupElement):
-        return autg_apply_element(sigma, obj)
-    if isinstance(obj, Subgroup):
-        return autg_apply_subgroup(sigma, obj)
-    raise ParameterError(f"cannot apply permutation to {type(obj).__name__}")
+        rows = (obj.exponents,)
+    elif isinstance(obj, Subgroup):
+        rows = obj.basis
+    else:
+        raise ParameterError(f"cannot apply permutation to {type(obj).__name__}")
+    if len(sigma.perm) != obj.params.n + 1:
+        raise DimensionError("permutation size mismatch")
+    moved = []
+    for row in rows:
+        new = [0] * len(row)
+        for i, e in zip(sigma.perm, row):
+            new[i] = e
+        moved.append(new)
+    if isinstance(obj, GroupElement):
+        return elem_normalize(moved[0], obj.params)
+    return Subgroup(rref_mod_p(moved, obj.params.p), obj.params)

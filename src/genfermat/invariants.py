@@ -322,6 +322,7 @@ def find_binomial_relations(gens) -> BinomialRelations:
                     group.append(base + j << shift)
                 walk(s, base + j, j, depth + 1)
             return
+        # kept: one loop body for every depth made the 65 frozen bases 117.3 -> 128.1 ms
         for j in range(first, n):  # the children are leaves
             s = key + packed[j]
             group = get(s)

@@ -32,7 +32,6 @@ from .enumeration import (
 )
 from .fixed_points import acts_freely_subgroup, free_rank_bound, has_fixed_points, level_sets
 from .geometry import (
-    RESIDUAL_TOL,
     ProjectivePoint,
     VarietyModel,
     apply_element,
@@ -42,7 +41,6 @@ from .geometry import (
     on_branch_locus,
     projectively_close,
     random_omega_sample,
-    residual,
 )
 from .groups import (
     GroupParams,
@@ -315,7 +313,7 @@ def check_fiber_geometry():
         pts = fiber_over(y, model)
         if len(pts) != 16:
             return False, f"fiber over {y.coords} has {len(pts)} points, want 16"
-        if any(residual(model, pt) > RESIDUAL_TOL for pt in pts):
+        if not all(is_on_variety(model, pt) for pt in pts):
             return False, f"fiber over {y.coords} has a point off the variety"
         fibers += 1
     # the deck group Z_2^4 maps a point of the last fiber into that fiber

@@ -44,8 +44,8 @@ def test_rank_sweep_walks_cells_below_d(monkeypatch):
     # the walk finds at (d=2, p=2, n=3, m=1) is seen by the unpruned pass only.
     walk = enumeration._leaves
 
-    def leaky(packed, k, d, share):
-        yield from walk(packed, k, d, share)
+    def leaky(packed, k, d):
+        yield from walk(packed, k, d)
         if (packed.p, packed.m, k, d) == (2, 1, 2, 2):
             yield ((1, 1, 1, 1), (0, 1, 0, 1), (0, 0, 1, 1))
 

@@ -65,6 +65,16 @@ def test_oracle_matches_closed_form_on_grid():
                     assert h0_oracle(d, p, n, r) == h0_twist(d, p, n, r), (d, p, n, r)
 
 
+def test_closed_form_below_p_is_a_binomial():
+    # below degree p no exponent bound binds, so h0 counts every monomial of
+    # degree r in n+1 variables (Vandermonde's identity on the general sum)
+    for d in range(1, 5):
+        for p in range(2, 8):
+            for n in range(d + 1, 9):
+                for r in range(p):
+                    assert h0_twist(d, p, n, r) == comb(r + n, n), (d, p, n, r)
+
+
 def test_oracle_cap():
     assert h0_oracle(2, 3, 5, ORACLE_DEGREE_CAP) == h0_twist(2, 3, 5, ORACLE_DEGREE_CAP)
     for r in (ORACLE_DEGREE_CAP + 1, 100):

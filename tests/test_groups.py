@@ -16,8 +16,6 @@ from genfermat.groups import (
     GeneratorPermutation,
     GroupParams,
     autg_apply,
-    autg_apply_element,
-    autg_apply_subgroup,
     elem_normalize,
     generator,
     quotient_columns,
@@ -101,6 +99,12 @@ def test_product_of_all_generators_is_identity(p3n4):
 def test_word_builder(p2n6, p3n4):
     assert word((1, 2, 4), p2n6) == elem_normalize((1, 1, 0, 1, 0, 0, 0), p2n6)
     assert word((1, 4, 1), p3n4) == elem_normalize((2, 0, 0, 1, 0), p3n4)
+    for j in range(1, p3n4.n + 2):
+        assert generator(j, p3n4) == word((j,), p3n4)
+    for j in (0, p3n4.n + 2):
+        for build in (generator, lambda j, params: word((1, j), params)):
+            with pytest.raises(ParameterError, match=rf"index {j} out of range 1\.\.5$"):
+                build(j, p3n4)
 
 
 # --- F_p linear algebra ----------------------------------------------------
@@ -229,15 +233,15 @@ def test_autg_composition(data):
     t = GeneratorPermutation(tuple(tau))
     s_after_t = GeneratorPermutation(tuple(sigma[j] for j in tau))
     x = data.draw(element_strategy(params))
-    assert autg_apply_element(s_after_t, x) == autg_apply_element(
-        s, autg_apply_element(t, x)
-    )
+    assert autg_apply(s_after_t, x) == autg_apply(s, autg_apply(t, x))
+    K = subgroup_from_generators([x, data.draw(element_strategy(params))], params)
+    assert autg_apply(s_after_t, K) == autg_apply(s, autg_apply(t, K))
 
 
 def test_autg_permutes_generators(p3n4):
     psi = GeneratorPermutation((4, 0, 1, 2, 3))  # the full cycle
     for j in range(1, p3n4.n + 2):
-        img = autg_apply_element(psi, generator(j, p3n4))
+        img = autg_apply(psi, generator(j, p3n4))
         expected = generator(psi.perm[j - 1] + 1, p3n4)
         assert img == expected
 
@@ -250,9 +254,9 @@ def test_autg_subgroup_preserves_order(p2n6):
     swap = GeneratorPermutation((1, 0, 2, 3, 4, 5, 6))
     cycle = GeneratorPermutation((6, 0, 1, 2, 3, 4, 5))
     for sigma in (identity, swap, cycle):
-        img = autg_apply_subgroup(sigma, K)
+        img = autg_apply(sigma, K)
         assert len(img.basis) == len(K.basis)
-    assert autg_apply_subgroup(identity, K).basis == K.basis
+    assert autg_apply(identity, K).basis == K.basis
 
 
 def test_autg_apply_dispatch(p2n6):
@@ -265,3 +269,15 @@ def test_autg_apply_dispatch(p2n6):
     ).basis
     with pytest.raises(ParameterError):
         autg_apply(sigma, "not a group object")
+    # the kind is checked before the size: a wrong kind raises ParameterError
+    with pytest.raises(ParameterError):
+        autg_apply(GeneratorPermutation((1, 0)), "not a group object")
+
+
+def test_autg_apply_refuses_size_mismatch(p2n6):
+    x = generator(1, p2n6)
+    K = subgroup_from_generators([x], p2n6)
+    for perm in ((1, 0, 2, 3, 4, 5), (1, 0, 2, 3, 4, 5, 6, 7)):
+        for obj in (x, K):
+            with pytest.raises(DimensionError, match="permutation size mismatch"):
+                autg_apply(GeneratorPermutation(perm), obj)

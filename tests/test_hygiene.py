@@ -88,13 +88,86 @@ def imports_gc(path):
 
 def test_sources_parse_as_python_3_10():
     # pyproject.toml declares requires-python >= 3.10.  This checks the
-    # grammar only, not the library APIs a source calls.
+    # grammar only; the library APIs a source calls are checked below.
     found = []
     for path in sorted(p for d in SCANNED + ("bench",) for p in (ROOT / d).rglob("*.py")):
         try:
             ast.parse(path.read_text(), feature_version=(3, 10))
         except SyntaxError as exc:
             found.append(f"{path.relative_to(ROOT)}:{exc.lineno}")
+    assert found == []
+
+
+# Library names that Python 3.10 lacks, by module; a module added after 3.10
+# maps to None.
+NEWER_THAN_3_10 = {
+    "tomllib": None,
+    "itertools": {"batched"},
+    "math": {"sumprod", "cbrt", "exp2", "fma"},
+    "typing": {"Self", "LiteralString", "Never", "assert_never", "assert_type",
+               "reveal_type", "TypeVarTuple", "Unpack", "Required", "NotRequired",
+               "dataclass_transform", "override", "get_overloads", "clear_overloads",
+               "TypeAliasType", "TypeIs", "ReadOnly"},
+    "enum": {"StrEnum", "ReprEnum", "EnumCheck", "FlagBoundary", "verify", "member",
+             "nonmember", "global_enum"},
+    "contextlib": {"chdir"},
+    "datetime": {"UTC"},
+    "operator": {"call"},
+    "hashlib": {"file_digest"},
+    "copy": {"replace"},
+    "warnings": {"deprecated"},
+    "asyncio": {"TaskGroup", "Runner", "timeout"},
+}
+
+# The arguments of int.to_bytes and int.from_bytes that have defaults only
+# from Python 3.11 on: byteorder, and to_bytes's length.
+BYTES_ARGS = {"to_bytes": ("length", "byteorder"), "from_bytes": ("bytes", "byteorder")}
+
+
+def newer_api_uses(source):
+    """(line, name) for each use in `source` of a library name of
+    NEWER_THAN_3_10, through an import or a module attribute, and each
+    to_bytes or from_bytes call that leaves an argument of BYTES_ARGS out."""
+    tree = ast.parse(source)
+    modules = {}  # local name -> module
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in NEWER_THAN_3_10 and NEWER_THAN_3_10[alias.name] is None:
+                    found.append((node.lineno, alias.name))
+                modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module in NEWER_THAN_3_10:
+            names = NEWER_THAN_3_10[node.module]
+            found += [(node.lineno, f"{node.module}.{alias.name}") for alias in node.names
+                      if names is None or alias.name in names]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module = modules.get(node.value.id)
+            if node.attr in (NEWER_THAN_3_10.get(module) or ()):
+                found.append((node.lineno, f"{module}.{node.attr}"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in BYTES_ARGS
+              and not any(isinstance(a, ast.Starred) for a in node.args)
+              and all(k.arg is not None for k in node.keywords)):
+            names = BYTES_ARGS[node.func.attr]
+            if len(node.args) + sum(k.arg in names for k in node.keywords) < len(names):
+                found.append((node.lineno, node.func.attr))
+    return sorted(found)
+
+
+def test_sources_use_python_3_10_library_apis():
+    # the grammar test above cannot see a library name or a default that
+    # arrived after 3.10
+    assert newer_api_uses("import itertools as it\nit.batched(x, 2)\nimport tomllib\n"
+                          "from math import sumprod, prod\n") == [
+        (2, "itertools.batched"), (3, "tomllib"), (4, "math.sumprod")]
+    assert newer_api_uses("x.to_bytes(2)\nint.from_bytes(b)\nx.to_bytes(2, 'big')\n"
+                          "x.to_bytes(length=2, byteorder='big')\nx.to_bytes(*a)\n") == [
+        (1, "to_bytes"), (2, "from_bytes")]
+    found = [f"{path.relative_to(ROOT)}:{line} {name}"
+             for path in sorted(p for d in SCANNED for p in (ROOT / d).rglob("*.py"))
+             for line, name in newer_api_uses(path.read_text())]
     assert found == []
 
 
