@@ -27,7 +27,7 @@ from .geometry import (
     random_omega_sample,
     VarietyModel,
 )
-from .groups import GroupParams, elem_normalize, subgroup_from_lift_rows
+from .groups import GroupParams, elem_normalize, require_domain, subgroup_from_lift_rows
 from .invariants import quotient_model_report
 from .reproduce import run_reproduce
 
@@ -79,7 +79,7 @@ def _load_arrangement(args):
 
 def cmd_fixed_points(args):
     params = GroupParams(p=args.p, n=args.n, d=args.d)
-    params.require_domain()
+    require_domain(args.d, args.n)
     x = elem_normalize(_parse_int_list(args.element), params)
     return _emit({"task": {"p": args.p, "n": args.n, "d": args.d},
                   "results": strata_report(x, args.d)})
@@ -136,7 +136,7 @@ def cmd_fiber(args):
 
 def cmd_invariants(args):
     params = GroupParams(p=args.p, n=args.n, d=args.d)
-    params.require_domain()
+    require_domain(args.d, args.n)
     K = subgroup_from_lift_rows(_parse_rows(args.gens), params)
     model = None
     if args.lam:

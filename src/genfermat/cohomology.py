@@ -11,7 +11,7 @@ from itertools import accumulate
 from math import comb, factorial, prod
 
 from .errors import InconsistencyError, ParameterError, ResourceLimitError
-from .groups import GroupParams
+from .groups import GroupParams, require_domain
 
 # Highest degree `h0_oracle` counts monomials for.
 ORACLE_DEGREE_CAP = 60
@@ -119,9 +119,8 @@ class CohomologyProfile:
 
 
 def genus_profile(d: int, p: int, n: int) -> CohomologyProfile:
-    if d < 2:
-        raise ParameterError(f"profile requires d >= 2, got {d}")
-    GroupParams(p=p, n=n, d=d).require_domain()
+    require_domain(d, n)
+    GroupParams(p=p, n=n, d=d)  # refuses p < 2
     r1 = canonical_twist(d, p, n)
     pg = h0_twist(d, p, n, r1)
     if r1 < 0:
@@ -178,9 +177,8 @@ class HyperbolicityVerdict:
 
 
 def hyperbolicity_verdict(d: int, p: int, n: int) -> HyperbolicityVerdict:
-    if d < 2:
-        raise ParameterError(f"verdict requires d >= 2, got {d}")
-    GroupParams(p=p, n=n, d=d).require_domain()
+    require_domain(d, n)
+    GroupParams(p=p, n=n, d=d)  # refuses p < 2
     if d == 2 and canonical_twist(d, p, n) == 0:  # a K3 surface
         return HyperbolicityVerdict(
             status="NotAlgebraicallyHyperbolic",

@@ -19,13 +19,14 @@ together with every completion of its row prefix.  The walk packs
 its columns into ints with whole-byte fields (`groups.Packed`, p <= 255)
 and gathers each lift basis from their bytes, with no elimination, each
 kernel row built once where the walk places it (`enumerate_all`), and each
-row of a leaf node once per node.  A leaf node rejects its candidates with
-one set, built where they outnumber its packed adds, and then builds its
-kernels, in basis order, in one list comprehension, with no Python frame
-per kernel (`_walk`); `groups.subgroups_of_bases` wraps them with none
-either (`enumerate_all`).  The kernels stay in the walk's
-deterministic order, unsorted, from listing to orbits: canonical order is
-paid for only where it is read, in the reports that print kernels.  The
+row of a leaf node once per node.  A leaf node picks its survivors with one
+set, built where its candidates outnumber the set's packed adds, else term
+by term, and builds their kernels, in basis order, in one list
+comprehension, with no Python frame per kernel (`_walk`);
+`groups.subgroups_of_bases` wraps them with none either
+(`enumerate_all`).  The kernels stay in the walk's deterministic order,
+unsorted, from listing to orbits: canonical order is paid for only where
+it is read, in the reports that print kernels.  The
 bases of one walk share one tuple per distinct row, so a kept kernel costs
 about 130 bytes and `enumerate_all` peaks at about 1.05 to 1.15 times what
 it returns; `count_free` runs the same walk and keeps no kernel, only those
@@ -47,22 +48,22 @@ p = 2 families are the kernels of their column lists
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, islice, product
+from itertools import combinations, filterfalse, islice, product
 from math import comb, factorial
 from operator import attrgetter, itemgetter
 
 from .errors import InconsistencyError, ParameterError, ResourceLimitError
 from .fixed_points import free_rank_bound
 from .groups import (
-    GroupParams, Packed, Subgroup, canonical_key, quotient_columns, subgroup_canonical_key,
-    subgroup_from_columns, subgroup_to_json, subgroups_of_bases,
+    GroupParams, Packed, Subgroup, canonical_key, quotient_columns, require_domain,
+    subgroup_canonical_key, subgroup_from_columns, subgroup_to_json, subgroups_of_bases,
 )
 
 
 @dataclass(frozen=True)
 class EnumerationTask:
     """One cell (d, p, n, m) of the paper's domain: p prime (and at most 255,
-    as the walk reads rows off bytes), d+1 <= n and 0 <= m <= n."""
+    as the walk reads rows off bytes), 2 <= d, d+1 <= n and 0 <= m <= n."""
 
     d: int
     p: int
@@ -73,7 +74,7 @@ class EnumerationTask:
     def __post_init__(self):
         params = self.params
         params.require_prime()
-        params.require_domain()
+        require_domain(self.d, self.n)
         params.require_byte_entries()
         params.require_quotient_rank(self.m)
         if self.cap_subspaces < 0:
@@ -102,18 +103,17 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
 
 
 def necessary_bounds(d: int, p: int, n: int, m: int) -> Verdict:
-    """Sound pruning on the paper's domain d+1 <= n: Empty verdicts are
-    proven; PossiblyNonempty promises nothing.  The rank bound needs d >= 2:
-    1-freeness only asks for nonzero quotient columns, which may repeat."""
+    """Sound pruning on the paper's domain 2 <= d, d+1 <= n: Empty verdicts
+    are proven; PossiblyNonempty promises nothing."""
     params = GroupParams(p=p, n=n, d=d)
     params.require_prime()
-    params.require_domain()
+    require_domain(d, n)
     params.require_quotient_rank(m)
     if m < d:
         return Verdict(False, f"quotient rank m={m} below dimension d={d}")
     if m == d == 2 and p < 4:
         return Verdict(False, f"m=d=2 requires p >= 4, got p={p}")
-    if d >= 2 and not free_rank_bound(p, m, n):
+    if not free_rank_bound(p, m, n):
         return Verdict(
             False, f"n+1={n + 1} exceeds (p^m-1)/(p-1)={(p ** m - 1) // (p - 1)}"
         )
@@ -145,24 +145,20 @@ def _row_getter(packed, n: int, P: int, t: int, pivots):
     return itemgetter(*at)
 
 
-def _bytes_reader(get, nbytes):
-    """The row that `get` (`_row_getter`) reads off the bytes of an int."""
-    return lambda b: get(b.to_bytes(nbytes, "little"))
-
-
 class _LeafRows(dict):
     """A leaf node's rows by the int whose bytes they are read off, each
-    read on its first lookup and kept as the walk's one tuple of it in
-    `shared`: a node below kernel rows serves every tail of them, so its
-    rows recur."""
+    read by `get` (`_row_getter`) on its first lookup and kept as the walk's
+    one tuple of it in `shared`: a node below kernel rows serves every tail
+    of them, so its rows recur."""
 
-    __slots__ = ("read", "shared")
+    __slots__ = ("get", "nbytes", "shared")
 
-    def __init__(self, read, shared):
-        self.read, self.shared = read, shared
+    def __init__(self, get, nbytes, shared):
+        self.get, self.nbytes, self.shared = get, nbytes, shared
 
     def __missing__(self, b):
-        self[b] = row = self.shared.setdefault(r := self.read(b), r)
+        r = self.get(b.to_bytes(self.nbytes, "little"))
+        self[b] = row = self.shared.setdefault(r, r)
         return row
 
 
@@ -193,17 +189,17 @@ def _walk(row, hi, packed, vecs, spans, total, tail, node, above, shared):
     F_p^*, so x is rejected iff it lies in R = top, top + total (c in top)
     or lower + a*total, a = 1 - 1/b = 2..p-1.  R is built when node s = 0's
     p^m candidates outnumber its 2|top| + (p-2)|lower| packed adds, and
-    serves every node, and each node builds the bases of its survivors in
-    one list comprehension, at most p^m of them, and yields from it; else
-    each candidate is probed term by term.  x runs as head + y (total below
-    field s, no carry) for y over the vectors on s..m-1 in lexicographic
-    order, so a node yields its bases ascending."""
+    serves every node; else each candidate is probed term by term.  Either
+    only chooses the survivors, and each node builds their bases in one
+    list comprehension, at most p^m of them, and yields from it.  x runs as
+    head + y (total below field s, no carry) for y over the vectors on
+    s..m-1 in lexicographic order, so a node yields its bases ascending."""
     p, high, bias, sh = packed.p, packed.high, packed.bias, packed.w - 1
     nbytes = packed.w // 8 * packed.m + 2
     one = 1 << (8 * nbytes - 8)  # the bytes 0 and 1 after the fields
     neg = packed.ones * p + one  # neg - c is -c with fields in [1, p]
     top = spans[-1]
-    lower, more = (spans[-2], range(p - 2)) if len(spans) > 1 else ((), ())  # b = 2..p-1
+    lower, more = spans[-2], range(p - 2)  # b = 2..p-1
     if not row:
         if total in lower:
             return
@@ -223,13 +219,10 @@ def _walk(row, hi, packed, vecs, spans, total, tail, node, above, shared):
                 entry = node[s] = (get, {}, above + (s + row,))
             else:
                 get_top = _row_getter(packed, n, -1, 0, above + (s,))
-                read, read_top = _bytes_reader(get, nbytes), _bytes_reader(get_top, nbytes)
                 # kept: a row table at k = 1 took (3,5,7,6) 45 -> 60 ms; sharing its rows, +7-10%
                 if above:  # else k = 1, and no row recurs: row 0 is all-ones minus row 1
-                    read = _LeafRows(read, shared).__getitem__
-                    read_top = _LeafRows(read_top, shared).__getitem__
-                    get = None  # rows are read through `read` and `read_top`
-                entry = node[s] = (get, get_top, read, read_top)
+                    get, get_top = _LeafRows(get, nbytes, shared), _LeafRows(get_top, nbytes, shared)
+                entry = node[s] = (get, get_top)
         cols = islice(vecs, p ** (packed.m - s))
         if row:
             get, below, pivots = entry
@@ -243,36 +236,37 @@ def _walk(row, hi, packed, vecs, spans, total, tail, node, above, shared):
                                  (shared.setdefault(r, r),) + tail, below, pivots, shared)
                 packed.shrink(spans, added)
             continue
-        get, get_top, read, read_top = entry
+        get, get_top = entry
         if s:  # x = head + y has total's fields below s
             head = total & ((1 << packed.w * s) - 1)
             cols = [head + y for y in cols]
         if rejects is not None:
-            if get is None:
-                yield from [(read_top(x + one),
-                             read((r := neg - x) - (((r + bias) & high) >> sh) * p)) + tail
-                            for x in cols if x not in rejects]
-            else:  # k = 1: the tail is empty
-                yield from [(get_top((x + one).to_bytes(nbytes, "little")),
-                             get(((r := neg - x) - (((r + bias) & high) >> sh) * p)
-                                 .to_bytes(nbytes, "little"))) for x in cols if x not in rejects]
-            continue
-        bare = neg - one  # bare - x is -c, with no marker bytes
-        for x in cols:
-            if x in top:
-                continue
-            r = bare - x
-            r -= (((r + bias) & high) >> sh) * p
-            if r in top:
-                continue
-            z = x
-            for _ in more:
-                z += total
-                z -= (((z + bias) & high) >> sh) * p
-                if z in lower:
-                    break
-            else:
-                yield (read_top(x + one), read(r + one)) + tail
+            cols = filterfalse(rejects.__contains__, cols)
+        else:
+            survivors, bare = [], neg - one  # bare - x is -c, with no marker bytes
+            for x in cols:
+                if x in top:
+                    continue
+                r = bare - x
+                if r - (((r + bias) & high) >> sh) * p in top:
+                    continue
+                z = x
+                for _ in more:
+                    z += total
+                    z -= (((z + bias) & high) >> sh) * p
+                    if z in lower:
+                        break
+                else:
+                    survivors.append(x)
+            cols = survivors
+        if above:  # k > 1: rows are looked up in the node's `_LeafRows`
+            yield from [(get_top[x + one],
+                         get[(r := neg - x) - (((r + bias) & high) >> sh) * p]) + tail
+                        for x in cols]
+        else:  # k = 1: the tail is empty
+            yield from [(get_top((x + one).to_bytes(nbytes, "little")),
+                         get(((r := neg - x) - (((r + bias) & high) >> sh) * p)
+                             .to_bytes(nbytes, "little"))) for x in cols]
 
 
 def _leaves(packed, k, d):

@@ -40,11 +40,8 @@ def has_fixed_points(x: GroupElement, d: int) -> bool:
     """True iff some level set has size >= n+1-d, i.e. some shifted
     representative of x has at most d nonzero entries."""
     _check_nontrivial(x, d)
-    n = x.params.n
-    counts = {}
-    for e in x.exponents:
-        counts[e] = counts.get(e, 0) + 1
-    return max(counts.values()) >= n + 1 - d
+    e = x.exponents
+    return max(map(e.count, set(e))) >= x.params.n + 1 - d
 
 
 def fixed_locus_strata(x: GroupElement, d: int):

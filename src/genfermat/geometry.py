@@ -17,6 +17,7 @@ from functools import cached_property
 from itertools import combinations, product
 
 from .errors import DimensionError, ParameterError, ResourceLimitError
+from .groups import require_domain
 
 RESIDUAL_TOL = 1e-9
 POINT_TOL = 1e-8
@@ -67,10 +68,7 @@ class Arrangement:
     d: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ParameterError(f"d must be >= 1, got {self.d}")
-        if self.n < self.d + 1:
-            raise ParameterError(f"need n >= d+1, got n={self.n}, d={self.d}")
+        require_domain(self.d, self.n)
         expected = self.n - self.d - 1
         if len(self.lam) != expected:
             raise DimensionError(

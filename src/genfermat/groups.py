@@ -39,11 +39,19 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def require_domain(d: int, n: int):
+    """The paper's domain of types (d;p,n): 2 <= d and d+1 <= n.  Every
+    command that takes d and n is gated here, and nowhere else; at n = d the
+    trivial kernel would act freely."""
+    if not 2 <= d < n:
+        raise ParameterError(f"need 2 <= d and d+1 <= n, got d={d}, n={n}")
+
+
 @dataclass(frozen=True)
 class GroupParams:
     """Ambient parameters: exponent p, rank parameter n (H ~ Z_p^n), and the
-    variety dimension d, which only `require_domain` reads; the fixed-point
-    predicates take d as an argument and keep the check 1 <= d <= n."""
+    variety dimension d, checked here only as 1 <= d <= n, as the fixed-point
+    predicates check it; the paper's domain is `require_domain`'s."""
 
     p: int
     n: int
@@ -56,11 +64,6 @@ class GroupParams:
             raise ParameterError(f"n must be >= 1, got {self.n}")
         if not (1 <= self.d <= self.n):
             raise ParameterError(f"need 1 <= d <= n, got d={self.d}, n={self.n}")
-
-    def require_domain(self):
-        """The paper's domain d+1 <= n; at n = d the trivial kernel is free."""
-        if self.n < self.d + 1:
-            raise ParameterError(f"need d+1 <= n, got d={self.d}, n={self.n}")
 
     def require_quotient_rank(self, m: int):
         """A quotient H/K ~ Z_p^m of H ~ Z_p^n has 0 <= m <= n."""

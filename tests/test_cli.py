@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes and JSON shape."""
 
+import argparse
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genfermat import invariants, reproduce
-from genfermat.cli import main
+from genfermat.cli import build_parser, main
 from genfermat.geometry import (
     ProjectivePoint,
     VarietyModel,
@@ -117,7 +118,7 @@ def test_invariants_command(capsys):
 def test_invariants_report_grows_with_the_walk(capsys):
     # 71 generators and 3,438,067 relations, which lie in 1,763 sum classes
     code, out, _ = run(
-        capsys, "invariants", "--d", "1", "--n", "4", "--p", "7", "--gens", "5,2,5,5,1",
+        capsys, "invariants", "--d", "2", "--n", "4", "--p", "7", "--gens", "5,2,5,5,1",
     )
     assert code == 0
     relations = json.loads(out)["results"]["binomial_relations"]
@@ -173,6 +174,33 @@ def test_malformed_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+# Valid arguments, but for d, of every subcommand that takes --d.
+D_COMMANDS = {
+    "fixed-points": ("--p", "3", "--n", "4", "--element", "1,1,2,0,0"),
+    "enumerate": ("--p", "3", "--n", "4", "--m", "2"),
+    "classify": ("--p", "3", "--n", "4", "--m", "2"),
+    "cohomology": ("--p", "3", "--n", "4"),
+    "hyperbolicity": ("--p", "3", "--n", "4"),
+    "arrangement": ("--n", "4", "--seed", "1"),
+    "fiber": ("--p", "3", "--n", "4", "--seed", "1", "--point", "1,0.31"),
+    "invariants": ("--p", "7", "--n", "4", "--gens", "5,2,5,5,1"),
+}
+
+
+def test_every_d_subcommand_is_listed():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(D_COMMANDS) == {name for name, sp in sub.choices.items()
+                               if any("--d" in a.option_strings for a in sp._actions)}
+
+
+@pytest.mark.parametrize("cmd", sorted(D_COMMANDS))
+def test_d_below_two_exits_2(capsys, cmd):
+    # the paper's domain is 2 <= d, d+1 <= n, refused by one gate for all
+    code, out, err = run(capsys, cmd, "--d", "1", *D_COMMANDS[cmd])
+    assert (code, out) == (2, "")
+    assert err == "error: need 2 <= d and d+1 <= n, got d=1, n=4\n"
 
 
 def test_unreadable_lambda_file_exits_2(capsys, tmp_path):
@@ -390,7 +418,7 @@ def _maybe(strategy):
 @st.composite
 def computing_argv(draw):
     """argv for one of the eight computing subcommands.  Half the draws
-    are cells of the paper's domain (1 <= d < n <= 7, p prime, lists of
+    are cells of the paper's domain (2 <= d < n <= 7, p prime, lists of
     the right length, a seeded arrangement); the other half draw small or
     invalid integers, malformed lists and points, and a missing --lambda
     file.  Caps are drawn in both, negative ones included, and bound the
@@ -401,7 +429,7 @@ def computing_argv(draw):
     )))
     if draw(st.booleans()):
         p = draw(st.sampled_from((2, 3, 5, 7)))
-        d = draw(st.integers(1, 3))
+        d = draw(st.integers(2, 3))
         n = draw(st.integers(d + 1, 7))
         m = draw(st.integers(0, n))
         entries = st.integers(0, p - 1).map(str)

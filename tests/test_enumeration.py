@@ -125,11 +125,12 @@ def _elementwise_free_keys(task):
 @example((2, 3, 4, 3))
 @example((2, 5, 3, 2))
 @example((2, 5, 4, 3))
-# both leaf paths (`_walk`): d = 1, whose lower span is empty, and p = 7 at d = 3
-@example((1, 2, 4, 2))
-@example((1, 3, 4, 2))
-@example((1, 5, 3, 2))
-@example((1, 3, 5, 3))
+# every leaf route (`_walk`): the rejects set at k = 1 and k > 1, the
+# term-by-term probe at k = 1 and k > 1, and p = 7 at d = 3
+@example((2, 7, 3, 2))
+@example((2, 3, 5, 3))
+@example((3, 5, 4, 3))
+@example((2, 5, 4, 2))
 @example((3, 7, 4, 3))
 @example((3, 7, 5, 4))
 def test_enumerate_all_matches_elementwise_filter(cell):
@@ -185,7 +186,8 @@ def test_necessary_bounds_prune():
     assert not necessary_bounds(2, 2, 5, 1).possibly_nonempty  # m < d
     assert not necessary_bounds(2, 2, 5, 2).possibly_nonempty  # m=d=2, p<4
     assert not necessary_bounds(2, 2, 7, 3).possibly_nonempty  # rank bound
-    assert necessary_bounds(1, 2, 4, 2).possibly_nonempty  # no rank bound at d = 1
+    with pytest.raises(ParameterError, match="2 <= d and d\\+1 <= n"):
+        necessary_bounds(1, 2, 4, 2)  # d = 1 lies outside the paper's domain
     assert necessary_bounds(2, 2, 6, 3).possibly_nonempty
     with pytest.raises(ParameterError, match="d\\+1 <= n"):
         necessary_bounds(2, 3, 2, 2)  # n = d: the trivial kernel would act freely
@@ -207,23 +209,30 @@ def test_subspace_cap():
         enumerate_all(task, prune=False)
 
 
-# Cells whose lift rows need two-byte packed fields (128 <= p <= 255).
-WIDE_CELLS = [(1, 131, 2, 1), (1, 251, 2, 1)]
+# Cells whose lift rows need two-byte packed fields (128 <= p <= 255):
+# 16,512 and 61,752 free kernels.
+WIDE_CELLS = [(2, 131, 3, 2), (2, 251, 3, 2)]
 # Edge cells of the leaf lift: m = n (no kernel rows, the lift is all-ones)
-# and d = 1 (only the zero column is rejected).
-EDGE_CELLS = [(2, 2, 4, 4), (1, 131, 2, 2), (1, 2, 4, 2), (1, 3, 3, 1),
-              (1, 5, 3, 2), (1, 7, 2, 1)]
+# at one- and two-byte fields, and one cell per leaf route of `_walk`: the
+# rejects set at k = 1 and k > 1, the term-by-term probe at k = 1 and k > 1.
+EDGE_CELLS = [(2, 2, 4, 4), (2, 131, 3, 3), (2, 7, 3, 2), (2, 3, 5, 3),
+              (3, 5, 4, 3), (2, 5, 4, 2)]
 
 
 def test_pruned_matches_unpruned():
-    # at d = 1 the columns only need to be nonzero and may repeat, so the
-    # rank bound n+1 <= (p^m-1)/(p-1) must not prune those cells
-    d1_cells = [cell for cell in WIDE_CELLS + EDGE_CELLS if cell[0] == 1]
-    for d, p, n, m in [(2, 2, 5, 3), (2, 3, 4, 2), (2, 2, 6, 3)] + d1_cells:
+    for d, p, n, m in [(2, 2, 5, 3), (2, 3, 4, 2), (2, 2, 6, 3)] + WIDE_CELLS + EDGE_CELLS:
         task = EnumerationTask(d=d, p=p, n=n, m=m)
         a = [subgroup_canonical_key(K) for K in enumerate_all(task, prune=True)]
         b = [subgroup_canonical_key(K) for K in enumerate_all(task, prune=False)]
         assert a == b
+    # d = 1 lies outside the paper's domain: neither the task nor the bounds
+    # take these former edge cells
+    for cell in [(1, 131, 2, 1), (1, 251, 2, 1), (1, 131, 2, 2), (1, 2, 4, 2),
+                 (1, 3, 3, 1), (1, 5, 3, 2), (1, 7, 2, 1)]:
+        with pytest.raises(ParameterError, match="2 <= d and d\\+1 <= n"):
+            EnumerationTask(*cell)
+        with pytest.raises(ParameterError, match="2 <= d and d\\+1 <= n"):
+            necessary_bounds(*cell)
 
 
 def test_dual_matches_elementwise_on_sweep():
@@ -347,8 +356,8 @@ def test_trivial_kernel_cells():
     assert time.perf_counter() - start < 0.1
     assert [K.basis for K in found] == [((1,) * 8,)]
     for p in (2, 3, 5):
-        for n in range(2, 6):
-            for d in range(1, n):
+        for n in range(3, 7):
+            for d in range(2, n):
                 K = subgroup_from_generators([], GroupParams(p=p, n=n, d=d))
                 want = [K.basis] if subgroup_is_free_dual(K, d) else []
                 found = enumerate_all(EnumerationTask(d, p, n, n), prune=False)
@@ -489,9 +498,9 @@ def test_classification_takes_one_cell():
 
 def test_classification_at_two_byte_fields():
     # 128 <= p <= 255: every row field is two bytes wide
-    found = enumerate_all(EnumerationTask(1, 131, 2, 1))
+    found = enumerate_all(EnumerationTask(2, 131, 3, 2))
     orbits = classify_orbits(found)
-    assert len(found) == 129
+    assert len(found) == 16_512
     assert sum(o.orbit_size for o in orbits) == len(found)
     for o in orbits:
         assert set(o.members) == _orbit_keys_by_all_permutations(o.representative)

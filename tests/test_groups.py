@@ -21,6 +21,7 @@ from genfermat.groups import (
     quotient_columns,
     quotient_rank,
     rank_mod_p,
+    require_domain,
     rref_mod_p,
     subgroup_canonical_key,
     subgroup_element_basis,
@@ -61,11 +62,13 @@ def test_params_validation():
     GroupParams(p=4, n=3, d=2)  # non-prime p is fine for element arithmetic
     with pytest.raises(UnsupportedParameterError, match="requires p prime, got 4"):
         GroupParams(p=4, n=3, d=2).require_prime()
-    GroupParams(p=4, n=3, d=2).require_domain()  # the domain asks nothing of p
     GroupParams(p=2, n=2, d=2)  # n = d is a group, outside the paper's domain
-    for d, n in ((2, 2), (1, 1), (5, 5)):
-        with pytest.raises(ParameterError, match="d\\+1 <= n"):
-            GroupParams(p=3, n=n, d=d).require_domain()
+    GroupParams(p=2, n=4, d=1)  # so is d = 1
+    for d, n in ((2, 3), (3, 4), (2, 7)):
+        require_domain(d, n)
+    for d, n in ((2, 2), (1, 1), (5, 5), (1, 4), (0, 3), (3, 2)):
+        with pytest.raises(ParameterError, match="need 2 <= d and d\\+1 <= n, got d="):
+            require_domain(d, n)
 
 
 def test_normalize_collapses_all_ones(p3n4):

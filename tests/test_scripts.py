@@ -87,8 +87,14 @@ def test_sweep_cohomology():
 
 def test_sweep_cohomology_rejects_bad_parameters():
     script = "sweep_cohomology.py"
-    assert_usage_error(script, "--d", "0", message="profile requires d >= 2, got 0")
+    assert_usage_error(script, "--d", "0", message="need 2 <= d and d+1 <= n, got d=0, n=1")
     assert_usage_error(script, "--plurigenera", "-1",
                        message="--plurigenera must be non-negative, got -1")
     assert_usage_error(script, "--max-p", "1",
                        message="empty grid: need --max-p >= 2 and --max-n > --d = 2")
+
+
+def test_sweep_scripts_refuse_d_below_two():
+    # d = 1 lies outside the paper's domain 2 <= d, d+1 <= n in both sweeps
+    for script in ("sweep_free_subgroups.py", "sweep_cohomology.py"):
+        assert_usage_error(script, "--d", "1", message="need 2 <= d and d+1 <= n, got d=1, n=2")
